@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from scipy import stats as scipy_stats
+from scipy import special
 
 from .descriptive import RunningStats
 
@@ -51,12 +51,16 @@ class ConfidenceInterval:
 @lru_cache(maxsize=4096)
 def t_critical(confidence: float, dof: int) -> float:
     """Two-sided Student-t critical value (cached; the download loop asks
-    for the same few (confidence, dof) pairs millions of times)."""
+    for the same few (confidence, dof) pairs millions of times).
+
+    ``stdtrit`` is the inverse Student-t CDF that ``scipy.stats.t.ppf``
+    evaluates, so the value is bit-identical without loading
+    ``scipy.stats``."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     if dof < 1:
         raise ValueError("need at least 1 degree of freedom")
-    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+    return float(special.stdtrit(dof, 0.5 + confidence / 2.0))
 
 
 def t_confidence_interval(

@@ -6,6 +6,12 @@ performance" — non-stationary sites whose average is meaningless.
 ``detect_trend`` regresses performance on round index and reports a
 trend when the slope is both statistically significant and practically
 large (relative to the series mean).
+
+The fit is scipy's ``linregress`` formula written out inline on
+``scipy.special``: the same covariance, the same clipping of r and the
+same ``TINY`` term, so every field is bit-identical to
+``scipy.stats.linregress`` without importing ``scipy.stats`` or paying
+for its input-validation wrapper on each call.
 """
 
 from __future__ import annotations
@@ -14,7 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
+import numpy as np
+from scipy import special
+
+#: keeps the t statistic finite when |r| == 1 (scipy's ``linregress`` term)
+TINY = 1.0e-20
 
 
 @dataclass(frozen=True)
@@ -37,16 +47,37 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> LinearFit:
         raise ValueError("x and y must have the same length")
     if len(x) < 3:
         raise ValueError("need at least three points to regress")
-    result = scipy_stats.linregress(x, y)
-    p_value = float(result.pvalue)
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    x_max = np.amax(xs)
+    if np.isnan(x_max) or np.isnan(np.amax(ys)):
+        # linregress turns any NaN input into an all-NaN result
+        return LinearFit(math.nan, math.nan, 0.0, 1.0, 0.0)
+    if x_max == np.amin(xs):
+        raise ValueError("cannot regress if all x values are identical")
+    df = len(xs) - 2
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    slope = ssxym / ssxm
+    intercept = np.mean(ys) - slope * np.mean(xs)
+    t = r * np.sqrt(df / ((1.0 - r + TINY) * (1.0 + r + TINY)))
+    p_value = float(2 * special.stdtr(df, -np.abs(t)))
+    stderr = float(np.sqrt((1 - r**2) * ssym / ssxm / df))
     if math.isnan(p_value):  # constant input -> no evidence of a trend
         p_value = 1.0
     return LinearFit(
-        slope=float(result.slope),
-        intercept=float(result.intercept),
-        r_value=float(result.rvalue) if not math.isnan(result.rvalue) else 0.0,
+        slope=float(slope),
+        intercept=float(intercept),
+        r_value=float(r) if not math.isnan(r) else 0.0,
         p_value=p_value,
-        stderr=float(result.stderr) if not math.isnan(result.stderr) else 0.0,
+        stderr=stderr if not math.isnan(stderr) else 0.0,
     )
 
 

@@ -29,6 +29,10 @@ class TestLinearRegression:
         with pytest.raises(ValueError):
             linear_regression([0, 1, 2], [1.0, 2.0])
 
+    def test_identical_x_values(self):
+        with pytest.raises(ValueError):
+            linear_regression([1, 1, 1], [1.0, 2.0, 3.0])
+
 
 class TestDetectTrend:
     def test_detects_steady_upward_trend(self):
