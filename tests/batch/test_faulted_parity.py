@@ -32,14 +32,24 @@ from repro.net.addresses import AddressFamily
 
 FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures" / "golden_faults_batch"
 FIXTURE = FIXTURE_DIR / "faulted_sweep.json"
+DIGEST_FIXTURE = FIXTURE_DIR / "faulted_repository_digests.json"
 
 SWEEP_SEEDS = tuple(range(100, 110))
 SWEEP_ROUNDS = 3
+#: the subset re-run with the NAT64/DNS64 axis on top of mild faults.
+TRANSITION_SEEDS = (100, 104, 109)
 
 
 def _faulted_config(seed: int):
     return dataclasses.replace(
         small_config(seed=seed, scale=0.4), faults=fault_preset("mild")
+    )
+
+
+def _faulted_transition_config(seed: int):
+    cfg = _faulted_config(seed)
+    return dataclasses.replace(
+        cfg, dns64=dataclasses.replace(cfg.dns64, enabled=True)
     )
 
 
@@ -102,6 +112,51 @@ class TestGoldenFaultedSweep:
         monkeypatch.setenv("REPRO_BATCH", "1")
         assert batching_enabled(), "sweep must exercise the batched path"
         assert _run_sweep() == json.loads(FIXTURE.read_text())
+
+
+def _repository_digests() -> dict[str, str]:
+    """``content_digest()`` of each sweep campaign (every table, every row)."""
+    digests = {
+        str(seed): run_campaign(
+            build_world(_faulted_config(seed)), n_rounds=SWEEP_ROUNDS
+        ).repository.content_digest()
+        for seed in SWEEP_SEEDS
+    }
+    for seed in TRANSITION_SEEDS:
+        digests[f"{seed}+transition"] = run_campaign(
+            build_world(_faulted_transition_config(seed)),
+            n_rounds=SWEEP_ROUNDS,
+        ).repository.content_digest()
+    return digests
+
+
+class TestGoldenRepositoryDigests:
+    """Full repository digests of the faulted sweep.
+
+    The faulted-sweep fixture pins only the faults tables and per-round
+    failure counts, so drift elsewhere in the faulted walk (a download
+    row's timestamp, a path, a transition row) would slip past it.  This
+    fixture pins ``content_digest()`` for seeds 100-109 (mild faults) and
+    for seeds 100/104/109 with mild faults plus NAT64/DNS64.  It was
+    generated at commit cc99a7a on the scalar reference plane, where the
+    batched plane matched it.
+    """
+
+    def test_repository_digests_match_golden(self):
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            os.environ["REPRO_BATCH"] = "0"
+            try:
+                DIGEST_FIXTURE.write_text(
+                    json.dumps(_repository_digests(), indent=2, sort_keys=True)
+                    + "\n"
+                )
+            finally:
+                os.environ.pop("REPRO_BATCH", None)
+            pytest.skip("golden fixture regenerated")
+        assert DIGEST_FIXTURE.exists(), (
+            "missing golden fixture; regenerate with REPRO_REGEN_GOLDEN=1"
+        )
+        assert _repository_digests() == json.loads(DIGEST_FIXTURE.read_text())
 
 
 class TestLiveScalarParity:
