@@ -1,28 +1,19 @@
-"""The batched round execution plane.
+"""Round execution: how :meth:`MonitoringTool.run_round` measures its sites.
 
-The monitor's legacy hot path walks one site at a time; this package
-restructures a round into a *plan* step that enumerates the whole site
-batch (DNS answers, sessions, fault schedules) and an *execute* step
-that walks the dispatch schedule consuming bulk draws and materializing
-observation rows in columnar order.  Both steps are engineered to be
-bit-identical to the scalar path: same shared-RNG draw order, same
-float expressions, same database row order, so the pinned faults-off
-digest and serial-vs-process parity are preserved.
-
-``REPRO_BATCH=0`` forces the legacy scalar path (kept as the reference
-implementation the parity tests compare against).
+A fault-free round is split into a *plan* step (:mod:`.plan`) that
+enumerates the whole site batch — DNS answer pairs (:mod:`.dnsplan`),
+sessions, page-identity verdicts — without touching the shared RNG, and
+an *execute* step (:mod:`.execute`) that walks the dispatch schedule,
+consuming bulk draws (:mod:`.sampling`) and materializing observation
+rows in columnar order.  A round on a world with a fault plan is walked
+site by site instead, since injected failures decide each site's fate
+as it goes.  Both walks advance the per-vantage RNG stream in the same
+order, draw for draw, so the pinned content digests and serial-vs-
+process parity hold.
 """
 
 from __future__ import annotations
 
-import os
-
 from .sampling import gauss_block, uniform_block
 
-
-def batching_enabled() -> bool:
-    """Whether rounds run on the batched plane (default) or scalar."""
-    return os.environ.get("REPRO_BATCH", "1").lower() not in ("0", "false", "no")
-
-
-__all__ = ["batching_enabled", "gauss_block", "uniform_block"]
+__all__ = ["gauss_block", "uniform_block"]

@@ -1,4 +1,4 @@
-"""Execute phase of the batched round: schedule, draws, loops, bulk writes.
+"""Execute phase of the round: schedule, draws, loops, bulk writes.
 
 The execute phase walks the planned batch in dispatch order and performs
 exactly the order-sensitive work the plan deferred: the 25-slot worker
@@ -6,15 +6,15 @@ pool schedule (which stamps every observation), the shared-RNG draws
 (identity probes, then the repeated-download loops), and the database
 writes.  Per-site draw accounting is the whole game — a DNS-filtered
 site consumes nothing, a v6-unreachable site still burns the IPv4
-probe's Gaussian, a measured site runs two converging loops — so the
-per-vantage stream advances through the batch precisely as the scalar
-``_monitor_site`` chain did, and the pinned content digests hold.
+probe's Gaussian, a measured site runs two converging loops — and the
+pinned content digests hold it in place.
 
-Faulty worlds route through :func:`execute_faulted_round` instead: site
+Faulty worlds route through :func:`_execute_faulted` instead: site
 fates there depend on injected failures (a DNS-exhausted family flips a
 site to single-stack, probe retries consume extra draws), so the walk
-classifies at execute time — still on the batched spine, with server
-fault decisions prefetched per probe/loop span through
+classifies each site at execute time, with DNS retries, identity probes
+and :func:`~repro.monitor.download.run_faulted_loop`, and server fault
+decisions prefetched per probe/loop span through
 :meth:`HttpClient.fault_batch`.
 """
 
@@ -23,16 +23,31 @@ from __future__ import annotations
 import heapq
 import math
 
-from ..errors import UnreachableError
+from ..dns.resolver import ResolutionResult
+from ..errors import DnsTimeout, UnreachableError
 from ..monitor.database import (
     DnsObservation,
     DownloadObservation,
+    FaultObservation,
     PageCheck,
     PathObservation,
     TransitionObservation,
 )
-from ..monitor.download import run_converging_loop
-from ..monitor.tool import DNS_PHASE_SECONDS, PAGE_CHECK_SECONDS, RoundReport
+from ..monitor.download import run_converging_loop, run_faulted_loop
+from ..monitor.tool import (
+    _DNS_FILTERED,
+    _DUAL_STACK,
+    _FAULTS,
+    _IDENTITY_FAILED,
+    _MEASURED,
+    _RETRIES_EXHAUSTED,
+    _SITES_MONITORED,
+    _SLOT_OCCUPANCY,
+    _UNREACHABLE,
+    DNS_PHASE_SECONDS,
+    PAGE_CHECK_SECONDS,
+    RoundReport,
+)
 from ..net.addresses import AddressFamily
 from ..obs import get_logger, metrics
 from .plan import (
@@ -45,27 +60,17 @@ from .plan import (
 
 _LOG = get_logger("batch.execute")
 
-#: the monitor's per-phase counters (same registry objects tool.py holds).
-_SITES_MONITORED = metrics.counter("monitor.sites_monitored")
-_DNS_FILTERED = metrics.counter("monitor.dns_filtered")
-_UNREACHABLE = metrics.counter("monitor.unreachable")
-_IDENTITY_FAILED = metrics.counter("monitor.identity_failed")
-_DUAL_STACK = metrics.counter("monitor.dual_stack")
-_MEASURED = metrics.counter("monitor.sites_measured")
-_SLOT_OCCUPANCY = metrics.gauge("monitor.slot_occupancy")
+#: the download loop's counters (same registry objects download.py holds).
 _DOWNLOADS = metrics.counter("download.samples")
 _CONVERGED = metrics.counter("download.loops_converged")
 _EXHAUSTED = metrics.counter("download.loops_exhausted")
 _LOOP_SAMPLES = metrics.histogram("download.samples_per_loop")
-#: batch-plane phase widths (satellite gauges: how many sites each
-#: phase's arrays carried this round — the batched analogue of the
-#: legacy per-dispatch slot occupancy).
+#: phase widths: how many sites each phase's arrays carried this round.
 _BATCH_DNS_WIDTH = metrics.gauge("monitor.batch.dns_width")
 _BATCH_IDENTITY_WIDTH = metrics.gauge("monitor.batch.identity_width")
 _BATCH_DOWNLOAD_WIDTH = metrics.gauge("monitor.batch.download_width")
 
-#: duration of a dual-stack site that proved unreachable, as the scalar
-#: path computes it faults-off: (0.2 + 0.0) + 1.0.
+#: duration of a dual-stack site that proved unreachable, faults off.
 _UNREACH_SECONDS = DNS_PHASE_SECONDS + PAGE_CHECK_SECONDS
 
 
@@ -77,7 +82,11 @@ def run_batched_round(
     n_new: int,
     round_start: float,
 ) -> RoundReport:
-    """One monitoring round on the batched spine (the run_round back end)."""
+    """One monitoring round (the :meth:`MonitoringTool.run_round` back end).
+
+    Fault-free rounds are planned up front and executed on bulk draws;
+    rounds on a world with a fault plan take the per-site faulted walk.
+    """
     env = tool.env
     if env.resolver.fault_check is None and not env.client.has_fault_hook:
         plan = build_round_plan(tool, round_idx, order, listed_now)
@@ -130,26 +139,25 @@ def _execute_plan(
             n_dual += 1
             n_unreachable += 1
             if sigma > 0:
-                # The IPv4 identity probe ran (and drew) before the
-                # scalar path discovered the v6 endpoint was dark.
+                # The IPv4 identity probe runs (and draws) before the
+                # v6 endpoint is found to be dark.
                 gauss(0.0, sigma)
             duration = _UNREACH_SECONDS
         else:
             n_dual += 1
             session_v4 = site.session_v4
             session_v6 = site.session_v6
-            # Identity probes: one GET per family, v4 then v6 (the
-            # session.get float expressions, inlined).
+            # Identity probes: one GET per family, v4 then v6.
             if sigma > 0:
-                v4_seconds = session_v4._page_kbytes / (
+                v4_seconds = session_v4.page_kbytes / (
                     session_v4.round_mean * exp(gauss(0.0, sigma))
                 )
-                v6_seconds = session_v6._page_kbytes / (
+                v6_seconds = session_v6.page_kbytes / (
                     session_v6.round_mean * exp(gauss(0.0, sigma))
                 )
             else:
-                v4_seconds = session_v4._page_kbytes / session_v4.round_mean
-                v6_seconds = session_v6._page_kbytes / session_v6.round_mean
+                v4_seconds = session_v4.page_kbytes / session_v4.round_mean
+                v6_seconds = session_v6.page_kbytes / session_v6.round_mean
             duration = v4_seconds + v6_seconds + DNS_PHASE_SECONDS
             if kind == IDENTITY_FAILED:
                 n_identity_failed += 1
@@ -212,7 +220,7 @@ def _execute_plan(
     database.add_downloads(download_rows)
     database.add_paths(path_rows)
     database.add_transitions(transition_rows)
-    tool._pair_resolver.flush_counters()
+    tool.pair_resolver.flush_counters()
 
     _SITES_MONITORED.inc(len(plan.sites))
     _DNS_FILTERED.inc(n_dns_filtered)
@@ -250,12 +258,10 @@ def _execute_plan(
 def _record_phase_widths(
     dns_width: int, identity_width: int, download_width: int, occupancy_max: int
 ) -> None:
-    """Per-phase batch gauges, plus the legacy occupancy high-water mark.
+    """Per-phase width gauges, plus the slot-occupancy high-water mark.
 
-    Under batching there is no per-dispatch pool scan, so the legacy
-    ``monitor.slot_occupancy`` gauge would freeze at whatever the last
-    scalar round left behind; the execute walk tracks the same
-    dispatch-instant occupancy and records the round's maximum here.
+    The execute walk tracks the dispatch-instant pool occupancy and
+    records the round's maximum here, once per round.
     """
     _BATCH_DNS_WIDTH.set(dns_width)
     _BATCH_IDENTITY_WIDTH.set(identity_width)
@@ -275,13 +281,14 @@ def _execute_faulted(
     """Execute a round whose fates depend on injected faults.
 
     Classification happens site by site (a DNS-exhausted family flips a
-    site to single-stack; an exhausted probe abandons it), but the
-    expensive lookups stay batched: server fault decisions are
-    prefetched per probe span and per loop block.  Rows land through the
-    scalar ``add_*`` writes because fault rows interleave with the
-    per-site tables in dispatch order.
+    site to single-stack; an exhausted probe abandons it), but server
+    fault decisions are prefetched per probe span and per loop block.
+    Rows land through the per-row ``add_*`` writes because fault rows
+    interleave with the per-site tables in dispatch order; the round's
+    failure count is the number of fault rows the walk added.
     """
     cfg = tool.config
+    faults_before = len(tool.database.faults)
     slots = [(round_start, slot) for slot in range(cfg.max_concurrent)]
     heapq.heapify(slots)
     busy: list[float] = []
@@ -305,6 +312,7 @@ def _execute_faulted(
         makespan = max(makespan, finish)
         n_dual += int(dual_stack)
         n_measured += int(measured)
+    n_failures = len(tool.database.faults) - faults_before
     _record_phase_widths(len(order), n_dual, n_measured, occupancy_max)
     _LOG.debug(
         "batched round done",
@@ -315,7 +323,7 @@ def _execute_faulted(
             "new": n_new,
             "dual_stack": n_dual,
             "measured": n_measured,
-            "failures": tool._round_faults,
+            "failures": n_failures,
         },
     )
     return RoundReport(
@@ -325,8 +333,64 @@ def _execute_faulted(
         n_dual_stack=n_dual,
         n_measured=n_measured,
         makespan_seconds=makespan - round_start,
-        n_failures=tool._round_faults,
+        n_failures=n_failures,
     )
+
+
+def _record_fault(
+    database, site_id: int, round_idx: int, family: AddressFamily, kind: str
+) -> None:
+    """Record one injected failure (database row and metrics)."""
+    database.add_fault(
+        FaultObservation(
+            site_id=site_id, round_idx=round_idx, family=family, kind=kind
+        )
+    )
+    _FAULTS.inc()
+    if kind in ("exhausted", "dns_exhausted"):
+        _RETRIES_EXHAUSTED.inc()
+
+
+def _backoff_seconds(config, attempt: int) -> float:
+    """Simulated wait before retry ``attempt`` (0-based, exponential)."""
+    return config.retry_initial_seconds * config.retry_backoff ** attempt
+
+
+def _query_both_with_retry(
+    tool, name: str, site_id: int, round_idx: int, now: float
+) -> tuple[dict[AddressFamily, ResolutionResult | None], float]:
+    """The DNS phase with bounded retry on injected timeouts.
+
+    Returns the per-family answers plus the extra simulated seconds
+    the timeouts and backoff waits cost.  A family whose retry budget
+    is exhausted counts as unresolved — in a faulty world a site can
+    look v6-dark for a round, exactly the transient AAAA outages the
+    paper's sanitization had to cope with.
+    """
+    cfg = tool.config
+    resolver = tool.env.resolver
+    results: dict[AddressFamily, ResolutionResult | None] = {}
+    extra = 0.0
+    for family in (AddressFamily.IPV4, AddressFamily.IPV6):
+        for attempt in range(cfg.max_retries + 1):
+            try:
+                results[family] = resolver.resolve_quiet(
+                    name, family, now + extra, attempt
+                )
+                break
+            except DnsTimeout as exc:
+                _record_fault(
+                    tool.database, site_id, round_idx, family, "dns_timeout"
+                )
+                extra += exc.seconds
+                if attempt < cfg.max_retries:
+                    extra += _backoff_seconds(cfg, attempt)
+        else:
+            results[family] = None
+            _record_fault(
+                tool.database, site_id, round_idx, family, "dns_exhausted"
+            )
+    return results, extra
 
 
 def _probe_prefetched(
@@ -334,41 +398,40 @@ def _probe_prefetched(
 ) -> tuple[bool, float]:
     """One identity probe against prefetched fault decisions.
 
-    The retry loop, backoff accounting, fault recording, and shared-RNG
-    draw (exactly one Gaussian, on the first non-faulted attempt) mirror
-    ``MonitoringTool._probe_with_retry`` + ``DownloadSession.get``;
-    returns (succeeded, simulated seconds spent).
+    Retries a faulted attempt after a backoff, recording each fault;
+    draws exactly one shared-RNG Gaussian, on the first non-faulted
+    attempt.  Returns (succeeded, simulated seconds spent).
     """
-    rng = tool.rng
+    cfg = tool.config
     seconds = 0.0
-    for attempt in range(tool.config.max_retries + 1):
+    for attempt in range(cfg.max_retries + 1):
         fault = decisions[attempt]
         if fault is None:
-            sigma = session._noise_sigma
+            sigma = session.noise_sigma
             if sigma > 0:
-                speed = session.round_mean * math.exp(rng.gauss(0.0, sigma))
+                speed = session.round_mean * math.exp(tool.rng.gauss(0.0, sigma))
             else:
                 speed = session.round_mean
-            seconds += session._page_kbytes / speed
+            seconds += session.page_kbytes / speed
             return True, seconds
         seconds += fault.seconds
-        tool._record_fault(site_id, round_idx, family, fault.kind)
-        if attempt < tool.config.max_retries:
-            seconds += tool._backoff_seconds(attempt)
-    tool._record_fault(site_id, round_idx, family, "exhausted")
+        _record_fault(tool.database, site_id, round_idx, family, fault.kind)
+        if attempt < cfg.max_retries:
+            seconds += _backoff_seconds(cfg, attempt)
+    _record_fault(tool.database, site_id, round_idx, family, "exhausted")
     return False, seconds
 
 
 def _monitor_site_faulted(
     tool, name: str, round_idx: int, now: float, listed: bool
 ) -> tuple[float, bool, bool]:
-    """One site under injected faults (``_monitor_site`` on the batch spine)."""
+    """One site under injected faults: (duration, dual_stack, measured)."""
     _SITES_MONITORED.inc()
-    site_id = tool._site_ids.get(name)
+    site_id = tool.site_ids.get(name)
     if site_id is None:
-        site_id = tool._site_ids[name] = tool.env.site_id_of(name)
-    answers, dns_extra = tool._query_both_with_retry(
-        name, site_id, round_idx, now
+        site_id = tool.site_ids[name] = tool.env.site_id_of(name)
+    answers, dns_extra = _query_both_with_retry(
+        tool, name, site_id, round_idx, now
     )
     v4 = answers[AddressFamily.IPV4]
     v6 = answers[AddressFamily.IPV6]
@@ -449,15 +512,16 @@ def _monitor_site_faulted(
         (AddressFamily.IPV4, session_v4),
         (AddressFamily.IPV6, session_v6),
     ):
-        outcome = tool.downloader.run_batched(session, tool.rng)
+        outcome = run_faulted_loop(session, tool.rng, tool.config)
         duration += outcome.total_seconds
         for _ in range(outcome.n_timeouts):
-            tool._record_fault(site_id, round_idx, family, "timeout")
+            _record_fault(database, site_id, round_idx, family, "timeout")
         for _ in range(outcome.n_resets):
-            tool._record_fault(site_id, round_idx, family, "reset")
+            _record_fault(database, site_id, round_idx, family, "reset")
         if outcome.gave_up:
-            tool._record_fault(site_id, round_idx, family, "exhausted")
-        if outcome.first_result is None:
+            _record_fault(database, site_id, round_idx, family, "exhausted")
+        if outcome.n_samples == 0:
+            # Every attempt failed: nothing measurable this round.
             fully_measured = False
             continue
         database.add_download(
@@ -473,13 +537,14 @@ def _monitor_site_faulted(
                 timestamp=now,
             )
         )
+        as_path = session.path.as_path
         database.add_path(
             PathObservation(
                 site_id=site_id,
                 round_idx=round_idx,
                 family=family,
-                dest_asn=outcome.first_result.as_path[-1],
-                as_path=outcome.first_result.as_path,
+                dest_asn=as_path[-1],
+                as_path=as_path,
             )
         )
         if family is AddressFamily.IPV6 and tool.env.record_transitions:

@@ -1,4 +1,4 @@
-"""Plan phase of the batched round: enumerate the site batch, no RNG.
+"""Plan phase of a fault-free round: enumerate the site batch, no RNG.
 
 On a fault-free world everything that decides a site's fate this round —
 its A/AAAA answers, whether both families have forwarding paths, whether
@@ -8,8 +8,8 @@ clock.  :func:`build_round_plan` therefore resolves the whole batch up
 front: one :class:`~repro.batch.dnsplan.PairResolver` sweep for the DNS
 phase, two :meth:`~repro.web.http.HttpClient.open_many` sweeps for the
 sessions (IPv4 for every dual-stack site, then IPv6 only where IPv4 was
-reachable, exactly the order the scalar opens probed reachability in),
-and the page-identity comparison straight off the pinned endpoints.
+reachable, the order a per-site walk probes reachability in), and the
+page-identity comparison straight off the pinned endpoints.
 
 What remains for the execute phase is everything order-sensitive: the
 worker-pool schedule, the shared-RNG draws, and the download loops.
@@ -24,10 +24,11 @@ from ..net.addresses import AddressFamily
 from ..web.http import DownloadSession
 from .dnsplan import PairResolver
 
-#: site classifications, in scalar-bailout order.  UNREACHABLE_V6 differs
-#: from UNREACHABLE_V4 only in draw accounting: the scalar path discovers
-#: a v6-dark destination *after* the IPv4 identity probe consumed its
-#: shared-RNG draw, so the execute phase must burn that draw too.
+#: site classifications, in per-site bailout order.  UNREACHABLE_V6
+#: differs from UNREACHABLE_V4 only in draw accounting: a site walk
+#: discovers a v6-dark destination *after* the IPv4 identity probe
+#: consumed its shared-RNG draw, so the execute phase must burn that
+#: draw too.
 DNS_FILTERED = 0
 UNREACHABLE_V4 = 1
 UNREACHABLE_V6 = 2
@@ -72,10 +73,10 @@ def build_round_plan(
 ) -> RoundPlan:
     """Plan one fault-free round over ``order`` (the shuffled dispatch order)."""
     env = tool.env
-    pair_resolver: PairResolver | None = tool._pair_resolver
+    pair_resolver: PairResolver | None = tool.pair_resolver
     if pair_resolver is None:
-        pair_resolver = tool._pair_resolver = PairResolver(env.resolver)
-    site_ids = tool._site_ids
+        pair_resolver = tool.pair_resolver = PairResolver(env.resolver)
+    site_ids = tool.site_ids
     site_id_of = env.site_id_of
     resolve_pair = pair_resolver.resolve_pair
 
@@ -119,7 +120,7 @@ def build_round_plan(
             for _plan, res4, _res6 in dual
         ]
     )
-    # IPv6 sessions only where IPv4 was reachable: the scalar path bails
+    # IPv6 sessions only where IPv4 was reachable: a site walk bails
     # on a v4-dark site before ever looking its v6 endpoint up, and the
     # work counters must tell the same story.
     pending: list[tuple[SitePlan, object]] = []

@@ -374,36 +374,13 @@ class World:
 
         return check
 
-    def server_fault_hook(self):
-        """HTTP-client fault hook bound to this world's fault plan (or None)."""
-        plan = self.faults
-        if plan is None:
-            return None
-
-        def hook(
-            site_id: int, family: AddressFamily, round_idx: int, fault_key: str
-        ) -> ServerFault | None:
-            multiplier = 1.0
-            if (
-                family is AddressFamily.IPV6
-                and self.catalog.site(site_id).server.v6_impaired
-            ):
-                multiplier = plan.config.impaired_fault_multiplier
-            return plan.server_fault(
-                site_id, family, round_idx, fault_key, multiplier
-            )
-
-        return hook
-
     def server_fault_hook_batch(self):
-        """Batched HTTP-client fault hook over this world's plan (or None).
+        """HTTP-client fault hook over this world's plan (or None).
 
-        Same per-coordinate decisions as :meth:`server_fault_hook`, but
-        one call covers a whole span of attempt keys (a probe's retry
+        One call covers a whole span of attempt keys (a probe's retry
         budget, a chunk of loop attempts) through
-        :meth:`FaultPlan.server_fault_batch` — the batched monitor's
-        fault lookups stay on the digest spine without a Python call per
-        GET.
+        :meth:`FaultPlan.server_fault_batch`; impaired servers scale
+        their IPv6 rates by ``impaired_fault_multiplier``.
         """
         plan = self.faults
         if plan is None:
@@ -459,7 +436,6 @@ class World:
             content_lookup=content_lookup,
             path_provider=self._path_provider(vantage.asn, dns64_on),
             owner_lookup=self.owner_of_address,
-            fault_hook=self.server_fault_hook(),
             fault_hook_batch=self.server_fault_hook_batch(),
         )
         n_rounds = self.config.campaign.n_rounds

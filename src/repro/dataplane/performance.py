@@ -94,21 +94,6 @@ class ThroughputModel:
             speed *= self._faults.path_degradation(path.as_path, round_idx)
         return speed
 
-    def round_factor_batch(
-        self, site_ids: list[int], families: list, round_idx: int
-    ) -> list[float]:
-        """Batched :meth:`round_factor` over parallel site/family arrays.
-
-        Element-for-element identical to the scalar calls (it shares the
-        same per-coordinate memo and private derived streams, so the
-        evaluation order cannot perturb any value).
-        """
-        factor = self.round_factor
-        return [
-            factor(site_id, family, round_idx)
-            for site_id, family in zip(site_ids, families)
-        ]
-
     def round_mean_speed_batch(
         self,
         server_speeds: list[float],
@@ -118,9 +103,8 @@ class ThroughputModel:
     ) -> list[float]:
         """Batched :meth:`round_mean_speed` over parallel arrays.
 
-        The batched execution plane opens a whole round's sessions at
-        once; this evaluates their latent means in one pass with the
-        scalar method's exact float expressions.
+        The round plan opens a whole round's sessions at once; this
+        evaluates their latent means in one pass.
         """
         mean = self.round_mean_speed
         return [
@@ -128,25 +112,18 @@ class ThroughputModel:
             for speed, path, site_id in zip(server_speeds, paths, site_ids)
         ]
 
-    def sample_download_speed(
-        self, round_mean: float, rng: random.Random
-    ) -> float:
-        """One download's measured speed around the round mean."""
-        sigma = self.config.measurement_noise_sigma
-        if sigma <= 0:
-            return round_mean
-        return round_mean * math.exp(rng.gauss(0.0, sigma))
-
     def sample_download_speed_batch(
         self, round_mean: float, rng: random.Random, n: int
     ) -> list[float]:
         """``n`` download speeds around one round mean, in draw order.
 
-        Identical to ``n`` :meth:`sample_download_speed` calls on the
-        same stream: the underlying Gaussians come from
+        Each speed is ``round_mean * exp(g)`` for a Gaussian ``g`` with
+        the configured measurement sigma (exactly ``round_mean`` when
+        the sigma is zero, with no draw).  The Gaussians come from
         :func:`repro.batch.sampling.gauss_block`, which replicates
         ``random.gauss`` bit-for-bit (including the cached partner), so
-        the shared stream advances exactly as the scalar loop would.
+        the shared stream advances exactly as ``n`` ``rng.gauss`` calls
+        would.
         """
         sigma = self.config.measurement_noise_sigma
         if sigma <= 0:

@@ -75,35 +75,6 @@ class FaultPlan:
             f"dns:{name}:{family.value}:{round_idx}:{attempt}", rate
         )
 
-    def dns_failure_batch(
-        self,
-        name: str,
-        family: AddressFamily,
-        round_idx: int,
-        attempts: Iterable[int],
-    ) -> list[bool]:
-        """Batched :meth:`dns_failure` over a span of attempt indices.
-
-        Element-for-element identical to the scalar calls: each attempt
-        keeps its own full-coordinate stream name, hashed in bulk by
-        :func:`~repro.rng.derive_uniform_block`.
-        """
-        rate = (
-            self.config.aaaa_failure_rate
-            if family is AddressFamily.IPV6
-            else self.config.a_failure_rate
-        )
-        attempts = list(attempts)
-        if rate <= 0.0:
-            return [False] * len(attempts)
-        if rate >= 1.0:
-            return [True] * len(attempts)
-        prefix = f"dns:{name}:{family.value}:{round_idx}:"
-        draws = derive_uniform_block(
-            self._seed, (prefix + str(attempt) for attempt in attempts)
-        )
-        return [draw < rate for draw in draws]
-
     # -- downloads ------------------------------------------------------------
 
     def server_fault(
@@ -122,21 +93,9 @@ class FaultPlan:
         ``rate_multiplier`` lets callers scale the configured rates per
         family or per server (impaired v6 hosts fail more).
         """
-        cfg = self.config
-        if family is AddressFamily.IPV6:
-            rate_multiplier *= cfg.v6_fault_multiplier
-        timeout_rate = min(1.0, cfg.server_timeout_rate * rate_multiplier)
-        reset_rate = min(1.0 - timeout_rate, cfg.server_reset_rate * rate_multiplier)
-        if timeout_rate <= 0.0 and reset_rate <= 0.0:
-            return None
-        draw = self._uniform(
-            f"server:{site_id}:{family.value}:{round_idx}:{attempt_key}"
-        )
-        if draw < timeout_rate:
-            return ServerFault("timeout", cfg.timeout_seconds)
-        if draw < timeout_rate + reset_rate:
-            return ServerFault("reset", cfg.reset_seconds)
-        return None
+        return self.server_fault_batch(
+            site_id, family, round_idx, (attempt_key,), rate_multiplier
+        )[0]
 
     def server_fault_batch(
         self,
@@ -146,11 +105,13 @@ class FaultPlan:
         attempt_keys: Iterable[str],
         rate_multiplier: float = 1.0,
     ) -> "list[ServerFault | None]":
-        """Batched :meth:`server_fault` over a span of attempt keys.
+        """:meth:`server_fault` over a span of attempt keys.
 
-        The batched monitor prefetches the fault decisions of a whole
-        probe (or a chunk of loop attempts) in one call; every element
-        equals the scalar method's answer for the same coordinates.
+        The faulted monitor prefetches the fault decisions of a whole
+        probe (or a chunk of loop attempts) in one call.  Each key keeps
+        its own full-coordinate stream name, hashed in bulk by
+        :func:`~repro.rng.derive_uniform_block`, so every element is the
+        answer for its coordinates alone.
         """
         cfg = self.config
         if family is AddressFamily.IPV6:

@@ -8,7 +8,6 @@ from .database import (
     PageCheck,
     PathObservation,
 )
-from .download import RepeatedDownloader
 from .scheduler import SlotScheduler
 from .tool import MonitoringTool, VantageEnvironment
 from .aggregate import CentralRepository
@@ -22,7 +21,6 @@ __all__ = [
     "MeasurementDatabase",
     "PageCheck",
     "PathObservation",
-    "RepeatedDownloader",
     "SlotScheduler",
     "MonitoringTool",
     "VantageEnvironment",

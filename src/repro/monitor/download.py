@@ -5,6 +5,12 @@ download time is within 10% of the mean with 95% confidence, at which
 point the page size and its average download time are recorded."  The
 loop resets (no caching effects) between downloads — in the simulation
 each GET is an independent sample by construction.
+
+Two loops run over an opened :class:`~repro.web.http.DownloadSession`:
+:func:`run_converging_loop` on fault-free worlds, where every GET
+succeeds, and :func:`run_faulted_loop` on faulty ones, where attempts
+can fail and are retried.  With no faults the two return the same
+statistics and leave the shared RNG in the same state.
 """
 
 from __future__ import annotations
@@ -15,11 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..config import MonitorConfig
-from ..net.addresses import Address, AddressFamily
 from ..obs import metrics
 from ..stats.descriptive import RunningStats
 from ..stats.intervals import interval_from_stats, t_critical
-from ..web.http import DownloadResult, DownloadSession, HttpClient
+from ..web.http import DownloadSession
 
 #: download-loop metrics (module-cached: ``obs`` resets them in place).
 _DOWNLOADS = metrics.counter("download.samples")
@@ -37,7 +42,7 @@ class RepeatedDownloadOutcome:
     Failed attempts (injected timeouts/resets) never enter the speed
     statistics; they are counted separately.  ``gave_up`` marks a loop
     abandoned after ``max_retries`` consecutive failures — with zero
-    successes ``first_result`` is None and ``n_samples`` is 0.
+    successes ``n_samples`` and ``page_bytes`` are 0.
     """
 
     n_samples: int
@@ -46,7 +51,6 @@ class RepeatedDownloadOutcome:
     converged: bool
     page_bytes: int
     total_seconds: float
-    first_result: DownloadResult | None
     n_failed: int = 0
     n_timeouts: int = 0
     n_resets: int = 0
@@ -62,9 +66,9 @@ def _tcrit_table(confidence: float, max_n: int) -> tuple[float, ...]:
     """Student-t critical values indexed by sample count ``n`` (<= max_n).
 
     Entry ``n`` equals ``t_critical(confidence, n - 1)`` — the same
-    (cached) float the scalar loop multiplies into its standard error —
-    hoisted into a tuple so the batched loop's per-sample convergence
-    check is an index, not a call.
+    (cached) float :func:`run_faulted_loop`'s intervals multiply into
+    their standard error — hoisted into a tuple so the converging loop's
+    per-sample check is an index, not a call.
     """
     return (0.0, 0.0) + tuple(
         t_critical(confidence, n - 1) for n in range(2, max_n + 1)
@@ -87,16 +91,16 @@ def run_converging_loop(
     ``min_downloads`` Gaussians can be drawn as one block
     (:meth:`ThroughputModel.sample_download_speed_batch`) and the Welford
     update, convergence check, and per-sample seconds run inline — no
-    ``DownloadResult`` or ``ConfidenceInterval`` objects on the hot
-    path.  Every float expression mirrors :meth:`RepeatedDownloader.run`
-    (same accumulation order, same ``t * (sqrt(var) / sqrt(n))``
-    association, same ``half / |mean| <= target`` division), so the
+    ``ConfidenceInterval`` objects on the hot path.  Every float
+    expression mirrors :func:`run_faulted_loop` (same accumulation
+    order, same ``t * (sqrt(var) / sqrt(n))`` association, same
+    ``half / |mean| <= target`` division), so with no faults the
     statistics — and the shared RNG stream — are bit-identical.
     """
     cfg = config
     round_mean = session.round_mean
-    page_kbytes = session._page_kbytes
-    sigma = session._noise_sigma
+    page_kbytes = session.page_kbytes
+    sigma = session.noise_sigma
     min_n = cfg.min_downloads
     max_n = cfg.max_downloads
     rel = cfg.ci_relative_width
@@ -111,7 +115,7 @@ def run_converging_loop(
     m2 = 0.0
     half = 0.0
     converged = False
-    speeds = session._client._model.sample_download_speed_batch(
+    speeds = session.client.model.sample_download_speed_batch(
         round_mean, rng, min_n if min_n <= max_n else max_n
     )
     while True:
@@ -138,215 +142,100 @@ def run_converging_loop(
     return n, mean, (half if n >= 2 else 0.0), total_seconds, converged
 
 
-class RepeatedDownloader:
-    """Runs the Fig 2 download loop for one (site, family, round)."""
+def run_faulted_loop(
+    session: DownloadSession, rng: random.Random, config: MonitorConfig
+) -> RepeatedDownloadOutcome:
+    """The Fig 2 loop on a faulty world: download until the CI target is
+    met (or ``max_downloads`` reached), retrying failed attempts.
 
-    def __init__(self, client: HttpClient, config: MonitorConfig) -> None:
-        config.validate()
-        self._client = client
-        self._config = config
-
-    def run(
-        self,
-        final_name: str,
-        address: Address,
-        family: AddressFamily,
-        round_idx: int,
-        rng: random.Random,
-        session: DownloadSession | None = None,
-    ) -> RepeatedDownloadOutcome:
-        """Download until the CI target is met (or max_downloads reached).
-
-        Speeds, not times, are accumulated: for a fixed page size the two
-        criteria are equivalent, and speed is what the paper reports.
-        Failed attempts are retried with exponential backoff (the k-th
-        retry waits ``retry_initial_seconds * retry_backoff ** k``
-        simulated seconds); ``max_retries`` consecutive failures abandon
-        the loop.
-
-        The loop's endpoint/path lookups happen once, at session open;
-        pass ``session`` (e.g. the one the identity probe already opened)
-        to skip even that, otherwise one is opened here.  May raise
-        :class:`UnreachableError` from the open, exactly where the first
-        per-sample GET used to raise it.
-        """
-        cfg = self._config
-        if session is None:
-            session = self._client.open(final_name, address, family, round_idx)
-        acc = RunningStats()
-        total_seconds = 0.0
-        first: DownloadResult | None = None
-        converged = False
-        gave_up = False
-        n_failed = n_timeouts = n_resets = 0
-        consecutive_failed = 0
-        attempt_idx = 0
-        # Per-attempt fault keys are only consulted by the fault hook;
-        # skip building ~200k of the strings per faults-off campaign.
-        keyed = session.has_fault_hook
-        while acc.n < cfg.max_downloads:
-            result = session.get(
-                rng, fault_key=f"loop:{attempt_idx}" if keyed else ""
+    Speeds, not times, are accumulated: for a fixed page size the two
+    criteria are equivalent, and speed is what the paper reports.  A
+    failed attempt is retried after an exponential backoff (the k-th
+    consecutive retry waits ``retry_initial_seconds * retry_backoff **
+    k`` simulated seconds); ``max_retries`` consecutive failures abandon
+    the loop.  Fault decisions for the ``loop:<i>`` attempt keys are
+    prefetched in blocks through :meth:`HttpClient.fault_batch` — they
+    are pure per-coordinate digests, so prefetching past the last
+    attempt actually taken changes nothing.  Each successful attempt
+    draws one shared-RNG Gaussian.
+    """
+    cfg = config
+    client = session.client
+    site_id = session.endpoint.site_id
+    family = session.family
+    round_idx = session.round_idx
+    round_mean = session.round_mean
+    page_kbytes = session.page_kbytes
+    sigma = session.noise_sigma
+    acc = RunningStats()
+    total_seconds = 0.0
+    converged = False
+    gave_up = False
+    n_failed = n_timeouts = n_resets = 0
+    consecutive_failed = 0
+    attempt_idx = 0
+    decisions: list = []
+    while acc.n < cfg.max_downloads:
+        if attempt_idx >= len(decisions):
+            start = len(decisions)
+            decisions.extend(
+                client.fault_batch(
+                    site_id,
+                    family,
+                    round_idx,
+                    [f"loop:{idx}" for idx in range(start, start + _FAULT_BLOCK)],
+                )
             )
-            attempt_idx += 1
-            total_seconds += result.seconds
-            if not result.ok:
-                n_failed += 1
-                if result.failure == "timeout":
-                    n_timeouts += 1
-                elif result.failure == "reset":
-                    n_resets += 1
-                if consecutive_failed >= cfg.max_retries:
-                    gave_up = True
-                    break
-                total_seconds += (
-                    cfg.retry_initial_seconds
-                    * cfg.retry_backoff ** consecutive_failed
-                )
-                consecutive_failed += 1
-                continue
-            consecutive_failed = 0
-            if first is None:
-                first = result
-            acc.add(result.speed_kbytes_per_sec)
-            if acc.n < cfg.min_downloads:
-                continue
-            interval = interval_from_stats(acc, cfg.confidence)
-            if interval.meets_target(cfg.ci_relative_width):
-                converged = True
+        fault = decisions[attempt_idx]
+        attempt_idx += 1
+        if fault is not None:
+            total_seconds += fault.seconds
+            n_failed += 1
+            if fault.kind == "timeout":
+                n_timeouts += 1
+            elif fault.kind == "reset":
+                n_resets += 1
+            if consecutive_failed >= cfg.max_retries:
+                gave_up = True
                 break
-        _DOWNLOADS.inc(acc.n)
-        _FAILED.inc(n_failed)
-        _LOOP_SAMPLES.observe(acc.n)
-        (_CONVERGED if converged else _EXHAUSTED).inc()
-        if gave_up:
-            _GAVE_UP.inc()
-        if not converged and acc.n >= 2:
-            # Report the final interval even when the target was missed.
-            interval = interval_from_stats(acc, cfg.confidence)
-        half_width = interval.half_width if acc.n >= 2 else 0.0
-        return RepeatedDownloadOutcome(
-            n_samples=acc.n,
-            # A loop abandoned before its first success has no mean.
-            mean_speed=acc.mean if acc.n else 0.0,
-            ci_half_width=half_width,
-            converged=converged,
-            page_bytes=first.page_bytes if first is not None else 0,
-            total_seconds=total_seconds,
-            first_result=first,
-            n_failed=n_failed,
-            n_timeouts=n_timeouts,
-            n_resets=n_resets,
-            gave_up=gave_up,
-        )
-
-    def run_batched(
-        self, session: DownloadSession, rng: random.Random
-    ) -> RepeatedDownloadOutcome:
-        """:meth:`run` with fault decisions prefetched in blocks.
-
-        Used by the batched monitor on faulty worlds: instead of one
-        fault-hook call per GET, spans of ``loop:<i>`` attempt keys are
-        resolved through :meth:`HttpClient.fault_batch` (the decisions
-        are pure per-coordinate digests, so prefetching past the last
-        attempt actually taken changes nothing).  Control flow, float
-        accumulation order, shared-RNG draws, and the returned outcome
-        mirror :meth:`run` exactly.
-        """
-        cfg = self._config
-        client = self._client
-        endpoint = session.endpoint
-        site_id = endpoint.site_id
-        family = session.family
-        round_idx = session.round_idx
-        round_mean = session.round_mean
-        page_kbytes = session._page_kbytes
-        sigma = session._noise_sigma
-        acc = RunningStats()
-        total_seconds = 0.0
-        first: DownloadResult | None = None
-        converged = False
-        gave_up = False
-        n_failed = n_timeouts = n_resets = 0
+            total_seconds += (
+                cfg.retry_initial_seconds
+                * cfg.retry_backoff ** consecutive_failed
+            )
+            consecutive_failed += 1
+            continue
+        if sigma > 0:
+            speed = round_mean * math.exp(rng.gauss(0.0, sigma))
+        else:
+            speed = round_mean
+        total_seconds += page_kbytes / speed
         consecutive_failed = 0
-        attempt_idx = 0
-        decisions: list = []
-        while acc.n < cfg.max_downloads:
-            if attempt_idx >= len(decisions):
-                start = len(decisions)
-                decisions.extend(
-                    client.fault_batch(
-                        site_id,
-                        family,
-                        round_idx,
-                        [
-                            f"loop:{idx}"
-                            for idx in range(start, start + _FAULT_BLOCK)
-                        ],
-                    )
-                )
-            fault = decisions[attempt_idx]
-            attempt_idx += 1
-            if fault is not None:
-                total_seconds += fault.seconds
-                n_failed += 1
-                if fault.kind == "timeout":
-                    n_timeouts += 1
-                elif fault.kind == "reset":
-                    n_resets += 1
-                if consecutive_failed >= cfg.max_retries:
-                    gave_up = True
-                    break
-                total_seconds += (
-                    cfg.retry_initial_seconds
-                    * cfg.retry_backoff ** consecutive_failed
-                )
-                consecutive_failed += 1
-                continue
-            if sigma > 0:
-                speed = round_mean * math.exp(rng.gauss(0.0, sigma))
-            else:
-                speed = round_mean
-            seconds = page_kbytes / speed
-            total_seconds += seconds
-            consecutive_failed = 0
-            if first is None:
-                first = DownloadResult(
-                    final_name=session.final_name,
-                    family=family,
-                    address=session.address,
-                    server_asn=endpoint.server_asn,
-                    as_path=session.path.as_path,
-                    page_bytes=endpoint.page_bytes,
-                    speed_kbytes_per_sec=speed,
-                    seconds=seconds,
-                )
-            acc.add(speed)
-            if acc.n < cfg.min_downloads:
-                continue
-            interval = interval_from_stats(acc, cfg.confidence)
-            if interval.meets_target(cfg.ci_relative_width):
-                converged = True
-                break
-        _DOWNLOADS.inc(acc.n)
-        _FAILED.inc(n_failed)
-        _LOOP_SAMPLES.observe(acc.n)
-        (_CONVERGED if converged else _EXHAUSTED).inc()
-        if gave_up:
-            _GAVE_UP.inc()
-        if not converged and acc.n >= 2:
-            interval = interval_from_stats(acc, cfg.confidence)
-        half_width = interval.half_width if acc.n >= 2 else 0.0
-        return RepeatedDownloadOutcome(
-            n_samples=acc.n,
-            mean_speed=acc.mean if acc.n else 0.0,
-            ci_half_width=half_width,
-            converged=converged,
-            page_bytes=first.page_bytes if first is not None else 0,
-            total_seconds=total_seconds,
-            first_result=first,
-            n_failed=n_failed,
-            n_timeouts=n_timeouts,
-            n_resets=n_resets,
-            gave_up=gave_up,
-        )
+        acc.add(speed)
+        if acc.n < cfg.min_downloads:
+            continue
+        interval = interval_from_stats(acc, cfg.confidence)
+        if interval.meets_target(cfg.ci_relative_width):
+            converged = True
+            break
+    _DOWNLOADS.inc(acc.n)
+    _FAILED.inc(n_failed)
+    _LOOP_SAMPLES.observe(acc.n)
+    (_CONVERGED if converged else _EXHAUSTED).inc()
+    if gave_up:
+        _GAVE_UP.inc()
+    if not converged and acc.n >= 2:
+        # Report the final interval even when the target was missed.
+        interval = interval_from_stats(acc, cfg.confidence)
+    return RepeatedDownloadOutcome(
+        n_samples=acc.n,
+        # A loop abandoned before its first success has no mean.
+        mean_speed=acc.mean if acc.n else 0.0,
+        ci_half_width=interval.half_width if acc.n >= 2 else 0.0,
+        converged=converged,
+        page_bytes=session.endpoint.page_bytes if acc.n else 0,
+        total_seconds=total_seconds,
+        n_failed=n_failed,
+        n_timeouts=n_timeouts,
+        n_resets=n_resets,
+        gave_up=gave_up,
+    )

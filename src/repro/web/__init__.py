@@ -3,7 +3,7 @@
 from .page import WebPage
 from .server import OriginServer
 from .cdn import CDNProvider, CdnDeployment
-from .http import DownloadResult, HttpClient
+from .http import HttpClient
 from .happyeyeballs import (
     HappyEyeballsClient,
     RaceOutcome,
@@ -16,7 +16,6 @@ __all__ = [
     "OriginServer",
     "CDNProvider",
     "CdnDeployment",
-    "DownloadResult",
     "HttpClient",
     "HappyEyeballsClient",
     "RaceOutcome",

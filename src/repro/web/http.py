@@ -2,15 +2,15 @@
 
 :class:`HttpClient` is the seam between the monitoring tool and the
 substrates: given a resolved address, it locates the serving endpoint,
-obtains the forwarding path, and samples a download from the throughput
-model.  Dependencies are injected as callables so the client is equally
-usable against the full world or against hand-built fixtures in tests.
+obtains the forwarding path, and evaluates the round's mean speed from
+the throughput model; the monitor's download loops then sample per-GET
+speeds around that mean.  Dependencies are injected as callables so the
+client is equally usable against the full world or against hand-built
+fixtures in tests.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,34 +51,11 @@ ContentLookup = Callable[[str, AddressFamily, int], ContentEndpoint]
 PathProvider = Callable[[int, int, AddressFamily, int], Optional[ForwardingPath]]
 #: address -> owning ASN.
 OwnerLookup = Callable[[Address], int]
-#: (site_id, family, round, fault_key) -> injected fault or None.
-FaultHook = Callable[[int, AddressFamily, int, str], Optional[ServerFault]]
-#: batched form: (site_id, family, round, fault_keys) -> one decision per key.
+#: (site_id, family, round, fault_keys) -> one injected fault (or None)
+#: per attempt key.
 FaultHookBatch = Callable[
     [int, AddressFamily, int, "list[str]"], "list[Optional[ServerFault]]"
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class DownloadResult:
-    """One page download attempt — completed, or failed by a fault.
-
-    Failed attempts (``ok`` False) carry the fault kind in ``failure``
-    ("timeout" or "reset"), zero speed, and the simulated seconds the
-    failed attempt burned; callers retry or record them as failed
-    samples, never feed them into speed statistics.
-    """
-
-    final_name: str
-    family: AddressFamily
-    address: Address
-    server_asn: int
-    as_path: tuple[int, ...]
-    page_bytes: int
-    speed_kbytes_per_sec: float
-    seconds: float
-    ok: bool = True
-    failure: str = ""
 
 
 class DownloadSession:
@@ -87,13 +64,13 @@ class DownloadSession:
     The repeated-download loop issues tens of GETs against the same
     coordinates; the endpoint, forwarding path, and round-mean speed are
     all functions of those coordinates alone, so a session resolves them
-    once and every :meth:`get` only draws the per-sample speed.  The
-    fault hook still runs per GET — each attempt is an independent draw
-    from the fault plan.
+    once and each GET only draws the per-sample speed.  Fault decisions
+    are not pinned: each attempt is an independent draw from the fault
+    plan, asked through :meth:`HttpClient.fault_batch`.
     """
 
     __slots__ = (
-        "_client",
+        "client",
         "final_name",
         "address",
         "family",
@@ -101,8 +78,8 @@ class DownloadSession:
         "endpoint",
         "path",
         "round_mean",
-        "_noise_sigma",
-        "_page_kbytes",
+        "noise_sigma",
+        "page_kbytes",
     )
 
     def __init__(
@@ -116,7 +93,7 @@ class DownloadSession:
         path: ForwardingPath,
         round_mean: float,
     ) -> None:
-        self._client = client
+        self.client = client
         self.final_name = final_name
         self.address = address
         self.family = family
@@ -126,54 +103,9 @@ class DownloadSession:
         self.round_mean = round_mean
         # Sampling constants, pinned so each GET is one Gaussian draw and
         # a couple of multiplies (same float expressions the model's
-        # sample_download_speed / download_seconds evaluate).
-        self._noise_sigma = client._model.config.measurement_noise_sigma
-        self._page_kbytes = endpoint.page_bytes / 1000.0
-
-    @property
-    def has_fault_hook(self) -> bool:
-        """Whether GETs consult a fault hook (callers can then skip
-        building per-attempt fault keys entirely)."""
-        return self._client._fault_hook is not None
-
-    def get(self, rng: random.Random, fault_key: str = "") -> DownloadResult:
-        """Fetch the pinned page once; one shared-RNG draw per sample."""
-        client = self._client
-        endpoint = self.endpoint
-        if client._fault_hook is not None:
-            fault = client._fault_hook(
-                endpoint.site_id, self.family, self.round_idx, fault_key
-            )
-            if fault is not None:
-                return DownloadResult(
-                    final_name=self.final_name,
-                    family=self.family,
-                    address=self.address,
-                    server_asn=endpoint.server_asn,
-                    as_path=self.path.as_path,
-                    page_bytes=endpoint.page_bytes,
-                    speed_kbytes_per_sec=0.0,
-                    seconds=fault.seconds,
-                    ok=False,
-                    failure=fault.kind,
-                )
-        sigma = self._noise_sigma
-        if sigma > 0:
-            speed = self.round_mean * math.exp(rng.gauss(0.0, sigma))
-        else:
-            speed = self.round_mean
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        return DownloadResult(
-            final_name=self.final_name,
-            family=self.family,
-            address=self.address,
-            server_asn=endpoint.server_asn,
-            as_path=self.path.as_path,
-            page_bytes=endpoint.page_bytes,
-            speed_kbytes_per_sec=speed,
-            seconds=self._page_kbytes / speed,
-        )
+        # sample_download_speed_batch / download_seconds evaluate).
+        self.noise_sigma = client.model.config.measurement_noise_sigma
+        self.page_kbytes = endpoint.page_bytes / 1000.0
 
 
 class HttpClient:
@@ -185,14 +117,12 @@ class HttpClient:
         content_lookup: ContentLookup,
         path_provider: PathProvider,
         owner_lookup: OwnerLookup,
-        fault_hook: FaultHook | None = None,
         fault_hook_batch: FaultHookBatch | None = None,
     ) -> None:
         self._model = model
         self._content_lookup = content_lookup
         self._path_provider = path_provider
         self._owner_lookup = owner_lookup
-        self._fault_hook = fault_hook
         self._fault_hook_batch = fault_hook_batch
 
     @property
@@ -202,8 +132,8 @@ class HttpClient:
 
     @property
     def has_fault_hook(self) -> bool:
-        """Whether GETs consult a fault hook (mirrors the session flag)."""
-        return self._fault_hook is not None
+        """Whether GETs consult a fault hook."""
+        return self._fault_hook_batch is not None
 
     def fault_batch(
         self,
@@ -212,19 +142,17 @@ class HttpClient:
         round_idx: int,
         fault_keys: list[str],
     ) -> list[ServerFault | None]:
-        """One fault decision per attempt key, for the batched monitor.
+        """One fault decision per attempt key (all ``None`` with no hook).
 
-        Uses the batched hook when the world wired one in (one digest
-        block per span of attempts); falls back to per-key scalar hook
-        calls so hand-built test environments keep working unchanged.
-        Element-for-element identical to per-GET scalar decisions.
+        The faulted monitor prefetches a probe's retry budget or a block
+        of loop attempts in one call; each decision is a pure function
+        of its coordinates, so a key's answer never depends on which
+        other keys share its batch.
         """
-        if self._fault_hook_batch is not None:
-            return self._fault_hook_batch(site_id, family, round_idx, fault_keys)
-        hook = self._fault_hook
+        hook = self._fault_hook_batch
         if hook is None:
             return [None] * len(fault_keys)
-        return [hook(site_id, family, round_idx, key) for key in fault_keys]
+        return hook(site_id, family, round_idx, fault_keys)
 
     def open(
         self,
@@ -235,39 +163,14 @@ class HttpClient:
     ) -> DownloadSession:
         """Resolve endpoint, path, and round mean once for repeated GETs.
 
-        Raises :class:`UnreachableError` when no forwarding path exists
-        (the destination is v6-dark from this vantage, say).  The round
-        mean is hoisted here because it depends only on the session
-        coordinates; its round noise comes from the model's private
-        streams, so hoisting never touches the shared per-sample RNG.
+        A width-1 :meth:`open_many`.  Raises :class:`UnreachableError`
+        when no forwarding path exists (the destination is v6-dark from
+        this vantage, say).
         """
-        if address.family is not family:
-            raise DownloadError(
-                f"address {address} is not an {family} address"
-            )
-        endpoint = self._content_lookup(final_name, family, round_idx)
-        _ENDPOINT_LOOKUPS.inc()
-        owner_asn = self._owner_lookup(address)
-        path = self._path_provider(owner_asn, endpoint.site_id, family, round_idx)
-        _PATH_LOOKUPS.inc()
-        if path is None:
-            raise UnreachableError(
-                f"no {family} path to AS{owner_asn} for {final_name}"
-            )
-        round_mean = self._model.round_mean_speed(
-            endpoint.server_speed, path, endpoint.site_id, round_idx
-        )
-        _SESSIONS.inc()
-        return DownloadSession(
-            client=self,
-            final_name=final_name,
-            address=address,
-            family=family,
-            round_idx=round_idx,
-            endpoint=endpoint,
-            path=path,
-            round_mean=round_mean,
-        )
+        session = self.open_many([(final_name, address, family, round_idx)])[0]
+        if session is None:
+            raise UnreachableError(f"no {family} path for {final_name}")
+        return session
 
     def open_many(
         self,
@@ -275,14 +178,15 @@ class HttpClient:
     ) -> "list[DownloadSession | None]":
         """Open a batch of sessions; ``None`` marks unreachable coordinates.
 
-        The batched round plan opens every dual-stack site's sessions in
-        one sweep: lookups run per request (hitting the same world-side
-        caches the scalar open does), the latent means are evaluated
-        through :meth:`ThroughputModel.round_mean_speed_batch`, and the
-        work counters advance by the same totals the equivalent scalar
-        opens would — an unreachable request still costs one endpoint
-        and one path lookup but never a session, exactly like
-        :meth:`open` raising :class:`UnreachableError`.
+        The round plan opens every dual-stack site's sessions in one
+        sweep: lookups run per request, and the latent means are
+        evaluated through :meth:`ThroughputModel.round_mean_speed_batch`.
+        The round mean is resolved here because it depends only on the
+        session coordinates; its round noise comes from the model's
+        private streams, so opening never touches the shared per-sample
+        RNG.  An unreachable request still costs one endpoint and one
+        path lookup in the work counters, but never a session.  All
+        requests must share one round.
         """
         content_lookup = self._content_lookup
         path_provider = self._path_provider
@@ -323,24 +227,3 @@ class HttpClient:
             )
         _SESSIONS.inc(len(reachable))
         return sessions
-
-    def get(
-        self,
-        final_name: str,
-        address: Address,
-        family: AddressFamily,
-        round_idx: int,
-        rng: random.Random,
-        fault_key: str = "",
-    ) -> DownloadResult:
-        """Fetch the main page at ``address`` once (one-shot session).
-
-        Raises :class:`UnreachableError` when no forwarding path exists.
-        With a fault hook installed, the attempt may instead come back
-        failed (``ok`` False); ``fault_key`` names the attempt (probe,
-        loop sample, retry) so every GET is an independent draw from the
-        fault plan.
-        """
-        return self.open(final_name, address, family, round_idx).get(
-            rng, fault_key
-        )

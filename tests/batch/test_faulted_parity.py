@@ -1,16 +1,15 @@
-"""Batched faulted rounds reproduce the scalar path byte-for-byte.
+"""Faulted rounds are pinned byte-for-byte by golden fixtures.
 
-The fault-free fast path is covered by the pinned repository digests; the
-faulted walk is the subtler half of the refactor — fault *rows* are
-order-sensitive (DNS failures interleave with download retries within a
-site) and the batched path prefetches server-fault decisions in blocks.
-This module pins it two ways:
-
-* a 10-seed golden fixture, generated from the pre-refactor scalar path
-  (``REPRO_REGEN_GOLDEN=1`` regenerates with batching forced off), that
-  the batched path must keep matching byte-for-byte, and
-* a live scalar-vs-batched comparison plus unit parity checks for the
-  batched fault-plan lookups.
+The fault-free rounds are covered by the pinned repository digests; the
+faulted walk is the subtler half — fault *rows* are order-sensitive (DNS
+failures interleave with download retries within a site) and server
+fault decisions are prefetched in blocks.  This module pins it with two
+10-seed golden fixtures, generated on the scalar reference plane that
+earlier versions kept beside the batched one, plus a unit check that a
+fault decision does not depend on the batch it is asked in.
+``REPRO_REGEN_GOLDEN=1`` regenerates both fixtures from the current
+code; a regenerated fixture is a changed contract and needs a stated
+cause.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import pathlib
 
 import pytest
 
-from repro.batch import batching_enabled
 from repro.config import small_config
 from repro.core.campaign import run_campaign
 from repro.core.world import build_world
@@ -93,25 +91,31 @@ def _run_sweep() -> dict[str, str]:
 
 
 class TestGoldenFaultedSweep:
-    def test_batched_sweep_matches_scalar_golden(self, monkeypatch):
+    """Faults tables and per-round failure counts of the faulted sweep.
+
+    Generated at commit a818c97 on the scalar reference plane.
+    """
+
+    def test_batched_sweep_matches_scalar_golden(self):
         if os.environ.get("REPRO_REGEN_GOLDEN"):
-            # Regenerate from the scalar reference path so the fixture
-            # always encodes pre-refactor behaviour.
-            os.environ["REPRO_BATCH"] = "0"
-            try:
-                FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-                FIXTURE.write_text(
-                    json.dumps(_run_sweep(), indent=2, sort_keys=True) + "\n"
-                )
-            finally:
-                os.environ.pop("REPRO_BATCH", None)
+            FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+            FIXTURE.write_text(
+                json.dumps(_run_sweep(), indent=2, sort_keys=True) + "\n"
+            )
             pytest.skip("golden fixture regenerated")
         assert FIXTURE.exists(), (
             "missing golden fixture; regenerate with REPRO_REGEN_GOLDEN=1"
         )
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert batching_enabled(), "sweep must exercise the batched path"
         assert _run_sweep() == json.loads(FIXTURE.read_text())
+
+    def test_sweep_actually_faults(self):
+        result = run_campaign(
+            build_world(_faulted_config(100)), n_rounds=SWEEP_ROUNDS
+        )
+        repo = result.repository
+        assert (
+            sum(len(repo.database(n).faults) for n in repo.vantage_names) > 0
+        )
 
 
 def _repository_digests() -> dict[str, str]:
@@ -144,14 +148,10 @@ class TestGoldenRepositoryDigests:
 
     def test_repository_digests_match_golden(self):
         if os.environ.get("REPRO_REGEN_GOLDEN"):
-            os.environ["REPRO_BATCH"] = "0"
-            try:
-                DIGEST_FIXTURE.write_text(
-                    json.dumps(_repository_digests(), indent=2, sort_keys=True)
-                    + "\n"
-                )
-            finally:
-                os.environ.pop("REPRO_BATCH", None)
+            DIGEST_FIXTURE.write_text(
+                json.dumps(_repository_digests(), indent=2, sort_keys=True)
+                + "\n"
+            )
             pytest.skip("golden fixture regenerated")
         assert DIGEST_FIXTURE.exists(), (
             "missing golden fixture; regenerate with REPRO_REGEN_GOLDEN=1"
@@ -159,49 +159,8 @@ class TestGoldenRepositoryDigests:
         assert _repository_digests() == json.loads(DIGEST_FIXTURE.read_text())
 
 
-class TestLiveScalarParity:
-    """Direct batched-vs-scalar comparison, fixture-free, for a subset."""
-
-    @pytest.mark.parametrize("seed", [100, 104, 109])
-    def test_faulted_tables_identical(self, seed, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        batched = run_campaign(
-            build_world(_faulted_config(seed)), n_rounds=SWEEP_ROUNDS
-        )
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        scalar = run_campaign(
-            build_world(_faulted_config(seed)), n_rounds=SWEEP_ROUNDS
-        )
-        assert _canonical_summary(batched) == _canonical_summary(scalar)
-        assert (
-            batched.repository.content_digest()
-            == scalar.repository.content_digest()
-        )
-
-    def test_sweep_actually_faults(self):
-        result = run_campaign(
-            build_world(_faulted_config(100)), n_rounds=SWEEP_ROUNDS
-        )
-        repo = result.repository
-        assert (
-            sum(len(repo.database(n).faults) for n in repo.vantage_names) > 0
-        )
-
-
 class TestFaultPlanBatches:
-    """The batched per-coordinate lookups match scalar loops exactly."""
-
-    def test_dns_failure_batch_matches_scalar(self):
-        plan = FaultPlan(fault_preset("mild"), master_seed=5)
-        attempts = range(6)
-        for family in AddressFamily:
-            for round_idx in range(3):
-                assert plan.dns_failure_batch(
-                    "site-3.example", family, round_idx, attempts
-                ) == [
-                    plan.dns_failure("site-3.example", family, round_idx, a)
-                    for a in attempts
-                ]
+    """A decision depends on its coordinates, not on its batch."""
 
     def test_server_fault_batch_matches_scalar(self):
         plan = FaultPlan(fault_preset("mild"), master_seed=5)

@@ -1,10 +1,4 @@
-"""Batched rounds report live phase-occupancy, not a frozen legacy value.
-
-Under batching the old per-site schedule gauge would never move past the
-value the last scalar round left behind; the batched execute phase must
-instead publish per-phase batch widths and keep the slot-occupancy
-high-water mark alive.
-"""
+"""Rounds publish per-phase batch widths and the slot-occupancy mark."""
 
 from __future__ import annotations
 
@@ -16,8 +10,7 @@ from repro.obs import metrics
 CFG = small_config(seed=7, scale=0.5)
 
 
-def test_batched_round_sets_phase_width_gauges(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "1")
+def test_batched_round_sets_phase_width_gauges():
     metrics.get_registry().reset()
     run_campaign(build_world(CFG), n_rounds=2)
     dns = metrics.gauge("monitor.batch.dns_width")
@@ -29,10 +22,3 @@ def test_batched_round_sets_phase_width_gauges(monkeypatch):
     assert dns.value >= identity.value >= download.value >= 1
     assert occupancy.max_value >= 1
 
-
-def test_scalar_fallback_leaves_batch_gauges_untouched(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    metrics.get_registry().reset()
-    run_campaign(build_world(CFG), n_rounds=1)
-    assert metrics.gauge("monitor.batch.dns_width").value == 0.0
-    assert metrics.gauge("monitor.slot_occupancy").max_value >= 1

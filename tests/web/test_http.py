@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.config import PerformanceConfig
@@ -11,6 +9,7 @@ from repro.dataplane.path import ForwardingPath
 from repro.dataplane.performance import ThroughputModel
 from repro.errors import DownloadError, UnreachableError
 from repro.net.addresses import AddressFamily, IPv4Address, IPv6Address
+from repro.obs import metrics
 from repro.rng import RngStreams
 from repro.web.http import ContentEndpoint, HttpClient
 
@@ -42,15 +41,18 @@ def make_client(path=None):
 
 
 class TestGet:
+    """What a GET downloads: the session :meth:`HttpClient.open` pins."""
+
     def test_successful_download(self):
         client, model = make_client()
-        result = client.get("site.example", IPv4Address(1), V4, 0, random.Random(1))
-        assert result.page_bytes == 50_000
-        assert result.as_path == (1, 2, 3)
-        assert result.server_asn == 3
-        assert result.speed_kbytes_per_sec > 0
-        assert result.seconds == pytest.approx(
-            model.download_seconds(50_000, result.speed_kbytes_per_sec)
+        session = client.open("site.example", IPv4Address(1), V4, 0)
+        assert session.endpoint.page_bytes == 50_000
+        assert session.page_kbytes == 50.0
+        assert session.path.as_path == (1, 2, 3)
+        assert session.endpoint.server_asn == 3
+        assert session.noise_sigma == model.config.measurement_noise_sigma
+        assert session.round_mean == model.round_mean_speed(
+            100.0, session.path, site_id=7, round_idx=0
         )
 
     def test_speed_scales_with_path_factor(self):
@@ -66,27 +68,49 @@ class TestGet:
         )
         fast_client, _ = make_client(short)
         slow_client, _ = make_client(long)
-        fast = fast_client.get("s", IPv4Address(1), V4, 0, random.Random(1))
-        slow = slow_client.get("s", IPv4Address(1), V4, 0, random.Random(1))
-        assert fast.speed_kbytes_per_sec > slow.speed_kbytes_per_sec
+        fast = fast_client.open("s", IPv4Address(1), V4, 0)
+        slow = slow_client.open("s", IPv4Address(1), V4, 0)
+        assert fast.round_mean > slow.round_mean
 
     def test_unreachable_destination(self):
         client, _ = make_client()
         client_unreachable = HttpClient(
-            model=client._model,
+            model=client.model,
             content_lookup=client._content_lookup,
             path_provider=lambda *args: None,
             owner_lookup=lambda address: 3,
         )
         with pytest.raises(UnreachableError):
-            client_unreachable.get(
-                "site.example", IPv4Address(1), V4, 0, random.Random(1)
-            )
+            client_unreachable.open("site.example", IPv4Address(1), V4, 0)
+        assert client_unreachable.open_many(
+            [("site.example", IPv4Address(1), V4, 0)]
+        ) == [None]
 
     def test_family_mismatch_rejected(self):
         client, _ = make_client()
         with pytest.raises(DownloadError):
-            client.get("site.example", IPv6Address(1), V4, 0, random.Random(1))
+            client.open("site.example", IPv6Address(1), V4, 0)
+
+    def test_open_counts_work_like_open_many(self):
+        client, _ = make_client()
+        dark = HttpClient(
+            model=client.model,
+            content_lookup=client._content_lookup,
+            path_provider=lambda *args: None,
+            owner_lookup=lambda address: 3,
+        )
+        names = ("web.endpoint_lookups", "web.path_lookups", "web.sessions")
+        registry = metrics.get_registry()
+        registry.reset()
+        client.open("a", IPv4Address(1), V4, 0)
+        with pytest.raises(UnreachableError):
+            dark.open("b", IPv4Address(1), V4, 0)
+        opened = [metrics.counter(name).value for name in names]
+        registry.reset()
+        client.open_many([("a", IPv4Address(1), V4, 0)])
+        dark.open_many([("b", IPv4Address(1), V4, 0)])
+        assert [metrics.counter(name).value for name in names] == opened
+        assert opened == [2.0, 2.0, 1.0]
 
 
 class TestContentEndpoint:
