@@ -223,14 +223,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
         if repository is not None:
             print("campaign store hit; exporting stored measurement data")
     if repository is None:
-        world = build_world(config)
-        result = run_campaign(world, execution=execution)
+        result = run_campaign(build_world(config), execution=execution)
         repository = result.repository
         if store is not None:
-            store.save(
-                config, result.repository, result.reports, kind=WEEKLY,
-                world=world,
-            )
+            store.save(config, result.repository, result.reports, kind=WEEKLY)
     manifest = export_repository(repository, pathlib.Path(args.out))
     print(f"exported campaign data; manifest at {manifest}")
     print(f"repository digest: {repository.content_digest()}")
@@ -307,11 +303,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     loaded = store.load_columnar_entry(digest)
     if loaded is None:
         print(f"campaign {digest[:16]} not stored; building it first")
-        world = build_world(config)
-        result = run_campaign(world, execution=_execution_from(args))
-        store.save(
-            config, result.repository, result.reports, kind=WEEKLY, world=world
+        result = run_campaign(
+            build_world(config), execution=_execution_from(args)
         )
+        store.save(config, result.repository, result.reports, kind=WEEKLY)
         loaded = store.load_columnar_entry(digest)
         if loaded is None:
             print("repro loadtest: failed to store the campaign")
@@ -437,13 +432,11 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         if store is not None:
             repository = store.load_repository(config, kind=WEEKLY)
         if repository is None:
-            world = build_world(config)
-            result = run_campaign(world, execution=execution)
+            result = run_campaign(build_world(config), execution=execution)
             repository = result.repository
             if store is not None:
                 store.save(
-                    config, result.repository, result.reports, kind=WEEKLY,
-                    world=world,
+                    config, result.repository, result.reports, kind=WEEKLY
                 )
         columnar = ColumnarRepository.from_repository(repository)
         reports = run_panel(columnar, campaign_digest=digest, names=names)
@@ -545,7 +538,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                             "seed": e.seed,
                             "repository_digest": e.repository_digest,
                             "size_bytes": e.size_bytes,
-                            "artifacts": e.artifact_sizes(),
                         }
                         for e in entries
                     ],
@@ -558,27 +550,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return 0
         print(
             f"{'DIGEST':16s}  {'KIND':8s}  {'SEED':>10s}  {'SIZE':>10s}  "
-            f"{'BIN':>10s}  {'JSON':>10s}  FORMATS"
+            f"{'BIN':>10s}"
         )
         for entry in entries:
             seed = "-" if entry.seed is None else str(entry.seed)
-            artifacts = entry.artifact_sizes()
-            binary_size = artifacts.get("columnar.bin")
-            json_size = artifacts.get("columnar.json")
-            formats = ",".join(
-                label
-                for label, present in (
-                    ("bin", binary_size is not None),
-                    ("json", json_size is not None),
-                )
-                if present
-            ) or "-"
+            try:
+                binary_size = (entry.path / "columnar.bin").stat().st_size
+            except OSError:
+                binary_size = "-"
             print(
                 f"{entry.digest[:16]:16s}  {entry.kind:8s}  {seed:>10s}  "
-                f"{entry.size_bytes:>10d}  "
-                f"{'-' if binary_size is None else binary_size:>10}  "
-                f"{'-' if json_size is None else json_size:>10}  "
-                f"{formats}"
+                f"{entry.size_bytes:>10d}  {binary_size:>10}"
             )
         return 0
     # prune

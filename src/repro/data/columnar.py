@@ -1,8 +1,7 @@
 """Struct-of-arrays encodings of the measurement tables.
 
-The paper promised public access to its measurement data (§5.5); the
-CampaignStore already persists campaigns as row-oriented JSON.  This
-module adds the columnar layer on top: every table of a
+The paper promised public access to its measurement data (§5.5).  This
+module is the columnar layer the CampaignStore persists: every table of a
 :class:`~repro.monitor.database.MeasurementDatabase` — DNS observations,
 page checks, downloads, AS paths, faults, plus the per-round DNS
 counters — as typed columns, with dictionary encoding for the low-
@@ -21,24 +20,26 @@ the database through :meth:`MeasurementDatabase.from_dict`, so a
 round trip (rows → columns → rows) reproduces the original database —
 and therefore :meth:`CentralRepository.content_digest` — bit for bit.
 
-Two artifact forms exist side by side:
-
-``columnar.json``
-    The canonical interchange form (one :class:`ColumnarRepository`
-    payload), loadable without unpickling the world or importing the
-    monitor.  :func:`write_columnar_json` streams it column-at-a-time
-    so encode never duplicates the whole campaign in memory.
+Two codecs exist:
 
 ``columnar.bin``
-    The fast-load binary form: a struct-packed header
-    (``magic, version, meta length, sha256``), a canonical-JSON
-    metadata blob naming every column's byte range (dictionaries
-    inline), then 8-byte-aligned little-endian raw column buffers.
+    The stored form, the only copy the campaign store keeps: a
+    struct-packed header (``magic, version, meta length, sha256``), a
+    canonical-JSON metadata blob naming every column's byte range
+    (dictionaries inline), then 8-byte-aligned little-endian raw
+    column buffers.
     The sha256 covers metadata plus body and is computed incrementally
     at write time — the content digest never needs the full JSON
     materialised — and verified on every load.  Decoding is lazy at
     table granularity: :class:`LazyColumnarDatabase` materialises a
     table only when it is first touched.
+
+JSON (:func:`iter_columnar_json`)
+    The reference codec (one :class:`ColumnarRepository` payload),
+    decodable with nothing but a JSON parser; the binary form is tested
+    against it.  :func:`write_columnar_json` streams it
+    column-at-a-time so encode never duplicates the whole campaign in
+    memory.  It is an export and debugging format and is not stored.
 """
 
 from __future__ import annotations
@@ -503,7 +504,8 @@ class ColumnarDatabase:
     def to_database(self) -> MeasurementDatabase:
         """Decode back to row objects through the wire-format loader, so
         the monotone-round invariants are re-validated and the rebuilt
-        database is bit-identical to the encoded one."""
+        database is bit-identical to the encoded one.  The returned
+        database's :func:`columnar_view` is this object."""
         from ..monitor.database import SERIAL_FORMAT
 
         _DECODES.inc()
@@ -522,7 +524,11 @@ class ColumnarDatabase:
         transitions = self.tables["transitions"].rows()
         if transitions:
             data["transitions"] = transitions
-        return MeasurementDatabase.from_dict(data)
+        db = MeasurementDatabase.from_dict(data)
+        # these columns encode the rebuilt database exactly, so queries
+        # over it reuse them instead of encoding it again
+        db._columnar_cache = self
+        return db
 
     def to_payload(self) -> dict:
         return {
@@ -592,9 +598,9 @@ class LazyColumnarDatabase(ColumnarDatabase):
 class ColumnarRepository:
     """A whole campaign — vantage roster plus columnar databases.
 
-    This is the ``columnar.json`` payload the campaign store writes next
-    to ``repository.json``; :meth:`to_repository` materialises the
-    row-object :class:`CentralRepository` when an analysis needs it.
+    The campaign store keeps it as ``columnar.bin``;
+    :meth:`to_repository` materialises the row-object
+    :class:`CentralRepository` when an analysis needs it.
     """
 
     vantages: dict[str, dict] = field(default_factory=dict)
@@ -602,10 +608,12 @@ class ColumnarRepository:
 
     @classmethod
     def from_repository(cls, repository: CentralRepository) -> "ColumnarRepository":
+        """Every database's :func:`columnar_view`, so a database that
+        analysis already encoded is not encoded again."""
         vantages, databases = {}, {}
         for vantage, db in repository.items():
             vantages[vantage.name] = vantage.to_dict()
-            databases[vantage.name] = ColumnarDatabase.from_database(db)
+            databases[vantage.name] = columnar_view(db)
         return cls(vantages=vantages, databases=databases)
 
     def to_repository(self) -> CentralRepository:
@@ -666,7 +674,7 @@ def columnar_view(db: MeasurementDatabase) -> ColumnarDatabase:
 
 
 # ---------------------------------------------------------------------------
-# streaming JSON encode (columnar.json without the full-payload copy)
+# streaming JSON encode (the reference codec, without the full-payload copy)
 
 
 class _LazyPayload:
@@ -708,7 +716,7 @@ def _lazy_database_payload(cdb: ColumnarDatabase) -> dict:
 
 
 def iter_columnar_json(repository: ColumnarRepository):
-    """Chunks of the canonical ``columnar.json`` text, streamed.
+    """Chunks of the canonical columnar JSON text, streamed.
 
     Byte-identical to ``json.dumps(repository.to_payload(),
     separators=(",", ":"))``, but at most one column's value list is

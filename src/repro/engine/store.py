@@ -5,44 +5,53 @@ so every CLI invocation rebuilt the world and re-ran the campaign from
 scratch.  :class:`CampaignStore` persists a completed campaign under
 ``.repro-cache/`` keyed by a stable content digest of its
 :class:`~repro.config.ScenarioConfig`, so a second ``repro run-all`` with
-an intact cache directory skips both the world build and the campaign.
+an intact cache directory skips the campaign.
 
-Layout (one directory per campaign)::
+Layout::
 
     <root>/campaigns/<digest>/
-        meta.json          store format, digest, kind, config snapshot
-        repository.json    CentralRepository.to_dict() (every table)
-        columnar.json      ColumnarRepository payload (repro.data)
-        columnar.bin       binary columnar artifact (fast cold loads)
+        meta.json          store format, digest, kind, seed, repository digest
+        columnar.bin       every measurement table (repro.data binary form)
         reports.json       per-vantage RoundReport dicts
-        world.pkl          pickled World (best effort; absent ok)
         observers/<name>.json   canonical ObserverReport artifacts
+    <root>/staging/<digest>.<pid>.<token>/
+                           entries being written, or displaced ones being
+                           deleted
 
-``repository.json`` and ``reports.json`` are the same compact dict forms
-shard results use to cross process boundaries, so a store entry is
-readable without this package's monitor.  The world pickle is an
-optimisation only: when it is missing or unreadable the world is rebuilt
-from the config and the stored measurement data is still used.
+``columnar.bin`` is the only stored copy of the tables.  Its sha256 is
+verified on every load and decoding back to rows re-validates the
+monitor's invariants, so a truncated, bit-flipped or out-of-order entry
+is a logged miss like any other unreadable one.  No world is stored: a
+hit rebuilds it from the config, and nothing read from the cache
+directory is ever unpickled.
 
-``columnar.bin`` is the load-time fast path: the serving layer decodes
-it lazily (table granularity, zero-copy buffers) with its sha256
-verified on every load.  A corrupt or truncated binary is a *warned
-fallback*, not a miss — ``columnar.json`` remains the canonical
-interchange form and is transposed from ``repository.json`` when even
-that is absent.
+Entries are published atomically.  :meth:`CampaignStore.save` writes a
+complete entry into a private staging directory on the same filesystem
+and renames it into ``campaigns/``; an entry it replaces is first renamed
+aside into staging and deleted afterwards.  A reader sees the old entry,
+a miss, or the new entry, never a torn one.  :meth:`CampaignStore.prune`
+removes staging directories whose writer process is gone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import pathlib
-import pickle
+import secrets
+import shutil
 from dataclasses import dataclass
 
 from ..config import ScenarioConfig
-from ..errors import ReproError
+from ..data.columnar import (
+    ColumnarRepository,
+    load_columnar_binary,
+    write_columnar_binary,
+)
+from ..errors import DataError, ReproError
 from ..monitor.aggregate import CentralRepository
 from ..monitor.database import SERIAL_FORMAT
 from ..monitor.tool import RoundReport
@@ -61,13 +70,8 @@ DEFAULT_CACHE_ROOT = ".repro-cache"
 _STORE_HITS = metrics.counter("engine.store.hits")
 _STORE_MISSES = metrics.counter("engine.store.misses")
 _STORE_WRITES = metrics.counter("engine.store.writes")
-#: binary-artifact counters: loads served from columnar.bin, and warned
-#: fallbacks to JSON after a corrupt/unreadable binary (gated to zero).
+#: entries decoded from columnar.bin (every load that got that far).
 _BIN_LOADS = metrics.counter("engine.store.bin_loads")
-_BIN_FALLBACKS = metrics.counter("engine.store.bin_fallbacks")
-
-#: the columnar artifact files a store entry may carry, preferred first.
-COLUMNAR_ARTIFACTS = ("columnar.bin", "columnar.json")
 
 
 def config_digest(config: ScenarioConfig, kind: str = "weekly") -> str:
@@ -96,8 +100,6 @@ class StoredCampaign:
     kind: str
     repository: CentralRepository
     reports: dict[str, list[RoundReport]]
-    #: the unpickled world, or None when only measurement data survived.
-    world: object | None
 
 
 @dataclass(frozen=True)
@@ -114,27 +116,27 @@ class StoreEntry:
 
     @property
     def size_bytes(self) -> int:
-        """Total bytes of the entry's files (best effort)."""
-        total = 0
+        """Total bytes of the entry's files, observer reports included
+        (best effort)."""
         try:
-            for child in self.path.iterdir():
-                try:
-                    total += child.stat().st_size
-                except OSError:
-                    continue
+            return sum(
+                path.stat().st_size
+                for path in self.path.rglob("*")
+                if path.is_file()
+            )
         except OSError:
-            pass
-        return total
+            return 0
 
-    def artifact_sizes(self) -> dict[str, int]:
-        """Bytes per columnar artifact present (``repro cache ls``)."""
-        sizes: dict[str, int] = {}
-        for name in COLUMNAR_ARTIFACTS:
-            try:
-                sizes[name] = (self.path / name).stat().st_size
-            except OSError:
-                continue
-        return sizes
+
+def _writer_alive(staging_name: str) -> bool:
+    """Whether the process named in a staging directory still runs."""
+    try:
+        os.kill(int(staging_name.split(".")[1]), 0)  # existence check only
+    except (IndexError, ValueError, ProcessLookupError):
+        return False
+    except OSError:
+        return True  # alive, but another user's process
+    return True
 
 
 class CampaignStore:
@@ -180,44 +182,55 @@ class CampaignStore:
         return found
 
     def prune(self, keep_latest: int) -> list[StoreEntry]:
-        """Delete all but the newest ``keep_latest`` entries; returns the
-        removed entries (``repro cache prune``)."""
-        import shutil
-
+        """Delete all but the newest ``keep_latest`` entries and every
+        stale staging directory; returns the removed entries
+        (``repro cache prune``)."""
         if keep_latest < 0:
             raise ValueError(f"keep_latest must be >= 0, got {keep_latest}")
         doomed = self.entries()[keep_latest:]
         for entry in doomed:
-            shutil.rmtree(entry.path, ignore_errors=True)
+            aside = self._move_aside(entry.digest, entry.path)
+            if aside is not None:
+                shutil.rmtree(aside, ignore_errors=True)
             _LOG.info(
                 "pruned store entry",
                 extra={"digest": entry.digest[:12], "dir": str(entry.path)},
             )
+        staging = self.root / "staging"
+        if staging.is_dir():
+            for stale in staging.iterdir():
+                if not _writer_alive(stale.name):
+                    shutil.rmtree(stale, ignore_errors=True)
         return doomed
 
     # -- load --------------------------------------------------------------
 
-    def load(
-        self, config: ScenarioConfig, kind: str = "weekly"
-    ) -> StoredCampaign | None:
-        """Load the stored campaign for ``config``, or None on a miss."""
-        digest = config_digest(config, kind)
+    def _read(self, digest: str, span_name: str, project):
+        """The one entry reader: ``project(meta, columnar, reports)`` on a
+        hit, None on a miss.
+
+        The projection runs inside the same ``except`` as the reads, so
+        an entry whose rows fail re-validation is a miss too.  Truncated
+        JSON raises ValueError, missing keys KeyError, malformed rows
+        TypeError, and a corrupt binary, a format mismatch or a
+        monotonicity violation a ReproError — each means "this entry is
+        unusable, recompute".
+        """
         entry = self.entry_dir(digest)
         meta_path = entry / "meta.json"
         if not meta_path.exists():
             _STORE_MISSES.inc()
             return None
-        with span("engine.store.load", digest=digest[:12], kind=kind):
+        with span(span_name, digest=digest[:12]):
             try:
                 meta = json.loads(meta_path.read_text(encoding="utf-8"))
                 if meta.get("store_format") != STORE_FORMAT:
-                    _STORE_MISSES.inc()
-                    return None
-                repository = CentralRepository.from_dict(
-                    json.loads(
-                        (entry / "repository.json").read_text(encoding="utf-8")
+                    raise DataError(
+                        f"store format {meta.get('store_format')!r} "
+                        f"(expected {STORE_FORMAT})"
                     )
-                )
+                columnar = load_columnar_binary(entry / "columnar.bin")
+                _BIN_LOADS.inc()
                 reports_data = json.loads(
                     (entry / "reports.json").read_text(encoding="utf-8")
                 )
@@ -225,34 +238,38 @@ class CampaignStore:
                     name: [RoundReport.from_dict(r) for r in rows]
                     for name, rows in reports_data["reports"].items()
                 }
-            except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-                # Truncated JSON raises ValueError, missing keys KeyError,
-                # malformed rows TypeError, and a format/monotonicity
-                # violation in the payload a MonitorError (ReproError) —
-                # all of them mean "this entry is unusable, recompute".
+                result = project(meta, columnar, reports)
+            except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                    ReproError) as exc:
                 _LOG.warning(
                     "unreadable store entry; treating as miss",
                     extra={"digest": digest[:12], "error": str(exc)},
                 )
                 _STORE_MISSES.inc()
                 return None
-            world = self._load_world(entry / "world.pkl", digest)
         _STORE_HITS.inc()
-        _LOG.info(
-            "campaign store hit",
-            extra={
-                "digest": digest[:12],
-                "kind": kind,
-                "world_restored": world is not None,
-            },
+        return result
+
+    def load(
+        self, config: ScenarioConfig, kind: str = "weekly"
+    ) -> StoredCampaign | None:
+        """Load the stored campaign for ``config``, or None on a miss."""
+        digest = config_digest(config, kind)
+        stored = self._read(
+            digest,
+            "engine.store.load",
+            lambda meta, columnar, reports: StoredCampaign(
+                digest=digest,
+                kind=kind,
+                repository=columnar.to_repository(),
+                reports=reports,
+            ),
         )
-        return StoredCampaign(
-            digest=digest,
-            kind=kind,
-            repository=repository,
-            reports=reports,
-            world=world,
-        )
+        if stored is not None:
+            _LOG.info(
+                "campaign store hit", extra={"digest": digest[:12], "kind": kind}
+            )
+        return stored
 
     def load_repository(
         self, config: ScenarioConfig, kind: str = "weekly"
@@ -266,93 +283,23 @@ class CampaignStore:
 
     def load_repository_by_digest(self, digest: str) -> CentralRepository | None:
         """Like :meth:`load_repository` but addressed by store digest."""
-        entry = self.entry_dir(digest)
-        if not (entry / "meta.json").exists():
-            _STORE_MISSES.inc()
-            return None
-        with span("engine.store.load_repository", digest=digest[:12]):
-            try:
-                meta = json.loads(
-                    (entry / "meta.json").read_text(encoding="utf-8")
-                )
-                if meta.get("store_format") != STORE_FORMAT:
-                    _STORE_MISSES.inc()
-                    return None
-                repository = CentralRepository.from_dict(
-                    json.loads(
-                        (entry / "repository.json").read_text(encoding="utf-8")
-                    )
-                )
-            except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-                _LOG.warning(
-                    "unreadable store entry; treating as miss",
-                    extra={"digest": digest[:12], "error": str(exc)},
-                )
-                _STORE_MISSES.inc()
-                return None
-        _STORE_HITS.inc()
-        return repository
+        return self._read(
+            digest,
+            "engine.store.load_repository",
+            lambda meta, columnar, reports: columnar.to_repository(),
+        )
 
-    def load_columnar_entry(self, digest: str, prefer_binary: bool = True):
+    def load_columnar_entry(self, digest: str):
         """One entry's ``(meta, ColumnarRepository)`` — the serving path.
 
-        Prefers the binary ``columnar.bin`` (sha256-verified, lazily
-        decoded per table); a corrupt or truncated binary is a warned
-        fallback to ``columnar.json``, and entries written before the
-        columnar layer existed are transposed from ``repository.json``
-        on the fly.  Returns None on a miss or an unreadable entry.
-        ``prefer_binary=False`` forces the JSON path (the perf harness
-        uses this to time both decoders over the same entry).
+        The repository is sha256-verified and decodes lazily per table.
+        Returns None on a miss or an unreadable entry.
         """
-        from ..data.columnar import ColumnarRepository, load_columnar_binary
-        from ..errors import DataError
-
-        entry = self.entry_dir(digest)
-        meta_path = entry / "meta.json"
-        if not meta_path.exists():
-            _STORE_MISSES.inc()
-            return None
-        with span("engine.store.load_columnar", digest=digest[:12]):
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                if meta.get("store_format") != STORE_FORMAT:
-                    _STORE_MISSES.inc()
-                    return None
-                columnar = None
-                binary_path = entry / "columnar.bin"
-                if prefer_binary and binary_path.exists():
-                    try:
-                        columnar = load_columnar_binary(binary_path)
-                        _BIN_LOADS.inc()
-                    except DataError as exc:
-                        _BIN_FALLBACKS.inc()
-                        _LOG.warning(
-                            "corrupt columnar binary; falling back to JSON",
-                            extra={"digest": digest[:12], "error": str(exc)},
-                        )
-                columnar_path = entry / "columnar.json"
-                if columnar is None and columnar_path.exists():
-                    columnar = ColumnarRepository.from_payload(
-                        json.loads(columnar_path.read_text(encoding="utf-8"))
-                    )
-                if columnar is None:
-                    repository = CentralRepository.from_dict(
-                        json.loads(
-                            (entry / "repository.json").read_text(
-                                encoding="utf-8"
-                            )
-                        )
-                    )
-                    columnar = ColumnarRepository.from_repository(repository)
-            except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-                _LOG.warning(
-                    "unreadable store entry; treating as miss",
-                    extra={"digest": digest[:12], "error": str(exc)},
-                )
-                _STORE_MISSES.inc()
-                return None
-        _STORE_HITS.inc()
-        return meta, columnar
+        return self._read(
+            digest,
+            "engine.store.load_columnar",
+            lambda meta, columnar, reports: (meta, columnar),
+        )
 
     # -- observer reports ----------------------------------------------------
 
@@ -360,21 +307,26 @@ class CampaignStore:
         return self.entry_dir(digest) / "observers"
 
     def save_observer_reports(self, digest: str, reports: dict) -> pathlib.Path:
-        """Persist observer reports next to ``columnar.json``.
+        """Persist observer reports next to ``columnar.bin``.
 
         ``reports`` maps observer name to
         :class:`~repro.observers.reports.ObserverReport`; each artifact is
         the report's canonical bytes, so the serving layer can return the
         file contents verbatim and still match a fresh recomputation
-        byte-for-byte.
+        byte-for-byte.  Each file is written under a temporary name and
+        renamed into place, so a reader never sees a partial report.
         """
         directory = self.observers_dir(digest)
         with span("engine.store.save_observers", digest=digest[:12]):
             directory.mkdir(parents=True, exist_ok=True)
             for name in sorted(reports):
-                (directory / f"{name}.json").write_bytes(
-                    reports[name].canonical_bytes()
-                )
+                temp = directory / f".{name}.{os.getpid()}.{secrets.token_hex(8)}"
+                try:
+                    temp.write_bytes(reports[name].canonical_bytes())
+                    os.replace(temp, directory / f"{name}.json")
+                except BaseException:
+                    temp.unlink(missing_ok=True)
+                    raise
         _LOG.info(
             "observer reports stored",
             extra={"digest": digest[:12], "n_reports": len(reports)},
@@ -396,21 +348,22 @@ class CampaignStore:
             return []
         return sorted(p.stem for p in directory.glob("*.json"))
 
-    @staticmethod
-    def _load_world(path: pathlib.Path, digest: str):
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except Exception as exc:  # pickle can raise nearly anything
-            _LOG.warning(
-                "world pickle unreadable; will rebuild from config",
-                extra={"digest": digest[:12], "error": str(exc)},
-            )
-            return None
-
     # -- save --------------------------------------------------------------
+
+    def _staging_path(self, digest: str) -> pathlib.Path:
+        """A fresh ``staging/<digest>.<pid>.<token>`` path, not yet created."""
+        token = f"{digest}.{os.getpid()}.{secrets.token_hex(8)}"
+        return self.root / "staging" / token
+
+    def _move_aside(self, digest: str, path: pathlib.Path) -> pathlib.Path | None:
+        """Rename ``path`` into staging; None when it no longer exists."""
+        aside = self._staging_path(digest)
+        aside.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            os.rename(path, aside)
+        except FileNotFoundError:
+            return None
+        return aside
 
     def save(
         self,
@@ -418,47 +371,48 @@ class CampaignStore:
         repository: CentralRepository,
         reports: dict[str, list[RoundReport]],
         kind: str = "weekly",
-        world: object | None = None,
     ) -> pathlib.Path:
-        """Persist one campaign; returns its entry directory."""
+        """Persist one campaign atomically; returns its entry directory."""
         digest = config_digest(config, kind)
         entry = self.entry_dir(digest)
         with span("engine.store.save", digest=digest[:12], kind=kind):
-            entry.mkdir(parents=True, exist_ok=True)
-            (entry / "repository.json").write_text(
-                json.dumps(repository.to_dict(), separators=(",", ":")),
-                encoding="utf-8",
-            )
-            self._save_columnar(entry, repository, digest)
-            (entry / "reports.json").write_text(
-                json.dumps(
-                    {
-                        "reports": {
-                            name: [r.to_dict() for r in rows]
-                            for name, rows in reports.items()
-                        }
-                    },
-                    separators=(",", ":"),
-                ),
-                encoding="utf-8",
-            )
-            if world is not None:
-                self._save_world(entry / "world.pkl", world, digest)
-            # meta.json written last: its presence marks the entry valid.
-            (entry / "meta.json").write_text(
-                json.dumps(
-                    {
-                        "store_format": STORE_FORMAT,
-                        "database_format": SERIAL_FORMAT,
-                        "digest": digest,
-                        "kind": kind,
-                        "seed": config.seed,
-                        "repository_digest": repository.content_digest(),
-                    },
-                    indent=2,
-                ),
-                encoding="utf-8",
-            )
+            staging = self._staging_path(digest)
+            staging.mkdir(parents=True)
+            try:
+                write_columnar_binary(
+                    staging / "columnar.bin",
+                    ColumnarRepository.from_repository(repository),
+                )
+                (staging / "reports.json").write_text(
+                    json.dumps(
+                        {
+                            "reports": {
+                                name: [r.to_dict() for r in rows]
+                                for name, rows in reports.items()
+                            }
+                        },
+                        separators=(",", ":"),
+                    ),
+                    encoding="utf-8",
+                )
+                (staging / "meta.json").write_text(
+                    json.dumps(
+                        {
+                            "store_format": STORE_FORMAT,
+                            "database_format": SERIAL_FORMAT,
+                            "digest": digest,
+                            "kind": kind,
+                            "seed": config.seed,
+                            "repository_digest": repository.content_digest(),
+                        },
+                        indent=2,
+                    ),
+                    encoding="utf-8",
+                )
+                self._publish(digest, staging, entry)
+            except BaseException:
+                shutil.rmtree(staging, ignore_errors=True)
+                raise
         _STORE_WRITES.inc()
         _LOG.info(
             "campaign stored",
@@ -466,39 +420,26 @@ class CampaignStore:
         )
         return entry
 
-    @staticmethod
-    def _save_columnar(
-        entry: pathlib.Path, repository: CentralRepository, digest: str
+    def _publish(
+        self, digest: str, staging: pathlib.Path, entry: pathlib.Path
     ) -> None:
-        """Write both columnar artifacts (lazily imported: ``repro.data``
-        itself imports the monitor this module already depends on).
+        """Rename a complete ``staging`` directory to ``entry``.
 
-        The JSON form streams column-at-a-time and the binary form
-        writes raw buffer references, so neither materialises a second
-        full copy of the campaign.
+        A directory already at ``entry`` (an older entry, or one a
+        concurrent writer just published) is renamed aside first and
+        deleted once the new entry is in place.
         """
-        from ..data.columnar import (
-            ColumnarRepository,
-            write_columnar_binary,
-            write_columnar_json,
-        )
-
-        columnar = ColumnarRepository.from_repository(repository)
-        write_columnar_json(entry / "columnar.json", columnar)
-        bin_digest = write_columnar_binary(entry / "columnar.bin", columnar)
-        _LOG.debug(
-            "columnar artifacts written",
-            extra={"digest": digest[:12], "bin_digest": bin_digest[:12]},
-        )
-
-    @staticmethod
-    def _save_world(path: pathlib.Path, world, digest: str) -> None:
-        try:
-            with path.open("wb") as handle:
-                pickle.dump(world, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            _LOG.warning(
-                "world not picklable; storing measurement data only",
-                extra={"digest": digest[:12], "error": str(exc)},
-            )
-            path.unlink(missing_ok=True)
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        displaced = []
+        while True:
+            try:
+                os.rename(staging, entry)
+                break
+            except OSError as exc:
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+            aside = self._move_aside(digest, entry)
+            if aside is not None:
+                displaced.append(aside)
+        for aside in displaced:
+            shutil.rmtree(aside, ignore_errors=True)

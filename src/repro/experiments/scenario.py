@@ -210,9 +210,10 @@ def get_experiment_data(
     """The cached campaign + analysis for ``config`` (built on first use).
 
     Two cache tiers: process memory, then the on-disk campaign store.  A
-    disk hit skips the world build and the campaign — the world is
-    unpickled from the store (or rebuilt from config if the pickle is
-    missing) and the measurement repository is loaded as data.
+    disk hit skips the campaign: the world is rebuilt from ``config`` and
+    the measurement repository is decoded from the entry's
+    ``columnar.bin``, whose columns then serve analysis as each
+    database's columnar view.
     ``execution`` picks the backend for a fresh campaign run; it is
     deliberately *not* part of the cache key, because every backend
     produces bit-identical repositories.
@@ -228,9 +229,8 @@ def get_experiment_data(
         stored = store.load(config, kind=WEEKLY)
         if stored is not None:
             _CACHE_HITS.inc()
-            world = stored.world if stored.world is not None else build_world(config)
             campaign = CampaignResult(
-                world=world,
+                world=build_world(config),
                 repository=stored.repository,
                 reports=stored.reports,
             )
@@ -252,13 +252,7 @@ def get_experiment_data(
     )
     _DATA_CACHE[config] = data
     if store is not None:
-        store.save(
-            config,
-            campaign.repository,
-            campaign.reports,
-            kind=WEEKLY,
-            world=world,
-        )
+        store.save(config, campaign.repository, campaign.reports, kind=WEEKLY)
     _bump_cached_gauge()
     return data
 
@@ -271,8 +265,8 @@ def get_w6d_data(
 
     Reuses the regular campaign's world (the event happens *within* the
     same Internet) and runs the 30-minute-round participant campaign.
-    W6D store entries carry no world pickle of their own — on a disk hit
-    the world comes from the weekly campaign's cache entry.
+    A W6D store entry holds only the event's measurement data; on a disk
+    hit the world comes from the weekly campaign's data.
     """
     if config is None:
         config = experiment_config()

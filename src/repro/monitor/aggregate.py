@@ -102,18 +102,6 @@ class CentralRepository:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CentralRepository":
-        """Rebuild a repository from :meth:`to_dict` output."""
-        repository = cls()
-        for vantage_data in data["vantages"]:
-            vantage = VantagePoint.from_dict(vantage_data)
-            repository.add(
-                vantage,
-                MeasurementDatabase.from_dict(data["databases"][vantage.name]),
-            )
-        return repository
-
     def content_digest(self) -> str:
         """SHA-256 over the canonical JSON form of every table.
 

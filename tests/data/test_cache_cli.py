@@ -75,10 +75,11 @@ def test_cache_ls_cli(seeded_store, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "DIGEST" in out
-    assert "FORMATS" in out
+    assert "BIN" in out
     assert len(out.strip().splitlines()) == 3  # header + two entries
-    for line in out.strip().splitlines()[1:]:
-        assert "bin,json" in line
+    for entry, line in zip(seeded_store.entries(), out.strip().splitlines()[1:]):
+        binary_size = (entry.path / "columnar.bin").stat().st_size
+        assert line.split()[-1] == str(binary_size)
 
 
 def test_cache_ls_json_cli(seeded_store, small_cfg, capsys):
@@ -88,10 +89,7 @@ def test_cache_ls_json_cli(seeded_store, small_cfg, capsys):
     assert [entry["kind"] for entry in listing] == [W6D, WEEKLY]
     assert listing[0]["digest"] == config_digest(small_cfg, W6D)
     assert listing[0]["size_bytes"] > 0
-    for entry in listing:
-        artifacts = entry["artifacts"]
-        assert artifacts["columnar.bin"] > 0
-        assert artifacts["columnar.json"] > 0
+    assert all("artifacts" not in entry for entry in listing)
 
 
 def test_cache_prune_cli(seeded_store, capsys):

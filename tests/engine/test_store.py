@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from repro.config import small_config
+from repro.data.columnar import _BINARY_HEADER
 from repro.engine.store import CampaignStore, config_digest
 from repro.monitor.aggregate import CentralRepository
 from repro.monitor.database import (
@@ -88,15 +94,14 @@ class TestCampaignStore:
         assert stored is not None
         assert stored.repository.content_digest() == repository.content_digest()
         assert stored.reports == reports
-        assert stored.world is None  # none was saved
 
-    def test_world_pickle_round_trip(self, tmp_path):
+    def test_entry_holds_only_the_sealed_files(self, tmp_path):
         store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
-        store.save(cfg, repository, reports, world={"marker": 42})
-        stored = store.load(cfg)
-        assert stored.world == {"marker": 42}
+        entry = store.save(small_config(seed=3), repository, reports)
+        assert sorted(p.name for p in entry.iterdir()) == [
+            "columnar.bin", "meta.json", "reports.json"
+        ]
 
     def test_kinds_are_separate_entries(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -110,7 +115,7 @@ class TestCampaignStore:
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
         entry = store.save(cfg, repository, reports)
-        (entry / "repository.json").write_text("{not json", encoding="utf-8")
+        (entry / "columnar.bin").write_bytes(b"RPRCOL garbage")
         assert store.load(cfg) is None
 
     def test_meta_records_repository_digest(self, tmp_path):
@@ -121,6 +126,28 @@ class TestCampaignStore:
         meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
         assert meta["repository_digest"] == repository.content_digest()
         assert meta["seed"] == cfg.seed
+
+
+def _reseal(path, edit_meta):
+    """Rewrite a ``columnar.bin`` with edited metadata and a valid sha256."""
+    data = path.read_bytes()
+    magic, version, meta_length, _ = _BINARY_HEADER.unpack_from(data)
+    offset = _BINARY_HEADER.size
+    meta = json.loads(data[offset : offset + meta_length])
+    edit_meta(meta)
+    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    body = data[offset + meta_length :]
+    digest = hashlib.sha256(meta_bytes + body).digest()
+    path.write_bytes(
+        _BINARY_HEADER.pack(magic, version, len(meta_bytes), digest)
+        + meta_bytes
+        + body
+    )
+
+
+def _downloads_meta(meta):
+    tables = meta["databases"][0]["tables"]
+    return next(t for t in tables if t["name"] == "downloads")
 
 
 class TestCorruptedEntryRobustness:
@@ -134,8 +161,13 @@ class TestCorruptedEntryRobustness:
         entry = store.save(cfg, repository, reports)
         return store, cfg, repository, reports, entry
 
-    def _assert_miss_then_recompute(self, store, cfg, repository, reports):
-        assert store.load(cfg) is None
+    def _assert_miss_then_recompute(self, store, cfg, repository, reports, caplog):
+        with caplog.at_level("WARNING", logger="repro.engine.store"):
+            assert store.load(cfg) is None
+        assert any(
+            "unreadable store entry" in record.message
+            for record in caplog.records
+        )
         # "Recompute" in the CLI means re-running and re-saving; the
         # rewritten entry must be fully usable again.
         store.save(cfg, repository, reports)
@@ -143,47 +175,74 @@ class TestCorruptedEntryRobustness:
         assert stored is not None
         assert stored.repository.content_digest() == repository.content_digest()
 
-    def test_truncated_repository_json(self, tmp_path):
+    def test_truncated_columnar_bin(self, tmp_path, caplog):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        payload = (entry / "repository.json").read_text(encoding="utf-8")
-        (entry / "repository.json").write_text(
-            payload[: len(payload) // 2], encoding="utf-8"
-        )
-        self._assert_miss_then_recompute(store, cfg, repository, reports)
+        data = (entry / "columnar.bin").read_bytes()
+        (entry / "columnar.bin").write_bytes(data[: len(data) // 2])
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
 
-    def test_missing_reports_key(self, tmp_path):
+    def test_flipped_body_byte(self, tmp_path, caplog):
+        store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
+        data = bytearray((entry / "columnar.bin").read_bytes())
+        data[-8] ^= 0xFF  # inside the last column buffer: sha256 mismatch
+        (entry / "columnar.bin").write_bytes(bytes(data))
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
+
+    def test_missing_reports_key(self, tmp_path, caplog):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
         (entry / "reports.json").write_text("{}", encoding="utf-8")
-        self._assert_miss_then_recompute(store, cfg, repository, reports)
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
 
-    def test_malformed_table_rows(self, tmp_path):
+    def test_truncated_reports_json(self, tmp_path, caplog):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        data = json.loads((entry / "repository.json").read_text(encoding="utf-8"))
-        vantage_name = next(iter(data["databases"]))
-        data["databases"][vantage_name]["downloads"] = [17]
-        (entry / "repository.json").write_text(json.dumps(data), encoding="utf-8")
-        self._assert_miss_then_recompute(store, cfg, repository, reports)
+        payload = (entry / "reports.json").read_text(encoding="utf-8")
+        (entry / "reports.json").write_text(
+            payload[: len(payload) // 2], encoding="utf-8"
+        )
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
 
-    def test_unsupported_database_format(self, tmp_path):
+    def test_malformed_table_rows(self, tmp_path, caplog):
+        # a resealed binary whose downloads table declares one row more
+        # than its buffers hold: the sha256 passes, the table decode fails
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        data = json.loads((entry / "repository.json").read_text(encoding="utf-8"))
-        vantage_name = next(iter(data["databases"]))
-        data["databases"][vantage_name]["format"] = 99
-        (entry / "repository.json").write_text(json.dumps(data), encoding="utf-8")
-        self._assert_miss_then_recompute(store, cfg, repository, reports)
 
-    def test_out_of_order_rows_violate_invariant(self, tmp_path):
+        def add_a_row(meta):
+            _downloads_meta(meta)["n_rows"] += 1
+
+        _reseal(entry / "columnar.bin", add_a_row)
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
+
+    def test_store_format_mismatch(self, tmp_path, caplog):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        data = json.loads((entry / "repository.json").read_text(encoding="utf-8"))
-        vantage_name = next(iter(data["databases"]))
-        rows = data["databases"][vantage_name]["downloads"]
+        meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
+        meta["store_format"] = 99
+        (entry / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
+
+    def test_out_of_order_rows_violate_invariant(self, tmp_path, caplog):
+        # a validly sealed binary whose downloads rows run backwards in
+        # round order: to_database raises a MonitorError
+        from repro.data.columnar import (
+            ColumnarDatabase,
+            ColumnarTable,
+            load_columnar_binary,
+            write_columnar_binary,
+        )
+
+        store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
+        columnar = load_columnar_binary(entry / "columnar.bin")
+        name, cdb = next(iter(columnar.databases.items()))
+        tables = dict(cdb.tables)
+        rows = tables["downloads"].rows()
         rows.reverse()
-        (entry / "repository.json").write_text(json.dumps(data), encoding="utf-8")
-        self._assert_miss_then_recompute(store, cfg, repository, reports)
+        tables["downloads"] = ColumnarTable.from_rows("downloads", rows)
+        columnar.databases[name] = ColumnarDatabase(name, tables)
+        write_columnar_binary(entry / "columnar.bin", columnar)
+        self._assert_miss_then_recompute(store, cfg, repository, reports, caplog)
 
     def test_corruption_is_logged_as_warning(self, tmp_path, caplog):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        (entry / "repository.json").write_text("{not json", encoding="utf-8")
+        (entry / "columnar.bin").write_bytes(b"RPRCOL garbage")
         with caplog.at_level("WARNING", logger="repro.engine.store"):
             assert store.load(cfg) is None
         assert any(
@@ -193,24 +252,13 @@ class TestCorruptedEntryRobustness:
 
 
 class TestColumnarArtifact:
-    """columnar.json and the no-world load paths."""
-
-    def test_save_writes_columnar_json(self, tmp_path):
-        from repro.data.columnar import ColumnarRepository
-
-        store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
-        repository, reports = tiny_campaign()
-        entry = store.save(cfg, repository, reports)
-        payload = json.loads((entry / "columnar.json").read_text(encoding="utf-8"))
-        rebuilt = ColumnarRepository.from_payload(payload).to_repository()
-        assert rebuilt.content_digest() == repository.content_digest()
+    """columnar.bin and the no-world load paths."""
 
     def test_load_repository_without_world(self, tmp_path):
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
-        store.save(cfg, repository, reports, world={"marker": 42})
+        store.save(cfg, repository, reports)
         loaded = store.load_repository(cfg)
         assert loaded is not None
         assert loaded.content_digest() == repository.content_digest()
@@ -229,22 +277,6 @@ class TestColumnarArtifact:
         )
         assert store.load_columnar_entry("deadbeef") is None
 
-    def test_load_columnar_entry_derives_from_legacy_rows(self, tmp_path):
-        # entries written before the columnar layer lack columnar.json
-        # and columnar.bin; loading transposes repository.json on the fly
-        store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
-        repository, reports = tiny_campaign()
-        entry = store.save(cfg, repository, reports)
-        (entry / "columnar.json").unlink()
-        (entry / "columnar.bin").unlink()
-        loaded = store.load_columnar_entry(config_digest(cfg))
-        assert loaded is not None
-        _, columnar = loaded
-        assert columnar.to_repository().content_digest() == (
-            repository.content_digest()
-        )
-
     def test_save_writes_binary_artifact(self, tmp_path):
         from repro.data.columnar import BINARY_MAGIC, load_columnar_binary
 
@@ -260,41 +292,7 @@ class TestColumnarArtifact:
         )
 
     def test_binary_preferred_on_load(self, tmp_path):
-        from repro.obs import metrics
-
-        store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
-        repository, reports = tiny_campaign()
-        entry = store.save(cfg, repository, reports)
-        # even with a corrupt columnar.json the binary serves the load
-        (entry / "columnar.json").write_text("{not json", encoding="utf-8")
-        before = metrics.counter("engine.store.bin_loads").value
-        loaded = store.load_columnar_entry(config_digest(cfg))
-        assert loaded is not None
-        assert metrics.counter("engine.store.bin_loads").value == before + 1
-        _, columnar = loaded
-        assert columnar.to_repository().content_digest() == (
-            repository.content_digest()
-        )
-
-    def test_corrupt_binary_falls_back_to_json(self, tmp_path):
-        from repro.obs import metrics
-
-        store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
-        repository, reports = tiny_campaign()
-        entry = store.save(cfg, repository, reports)
-        (entry / "columnar.bin").write_bytes(b"RPRCOL garbage")
-        before = metrics.counter("engine.store.bin_fallbacks").value
-        loaded = store.load_columnar_entry(config_digest(cfg))
-        assert loaded is not None
-        assert metrics.counter("engine.store.bin_fallbacks").value == before + 1
-        _, columnar = loaded
-        assert columnar.to_repository().content_digest() == (
-            repository.content_digest()
-        )
-
-    def test_prefer_binary_false_forces_json_path(self, tmp_path):
+        # every load decodes columnar.bin and counts it
         from repro.obs import metrics
 
         store = CampaignStore(tmp_path)
@@ -302,19 +300,152 @@ class TestColumnarArtifact:
         repository, reports = tiny_campaign()
         store.save(cfg, repository, reports)
         before = metrics.counter("engine.store.bin_loads").value
-        loaded = store.load_columnar_entry(config_digest(cfg), prefer_binary=False)
+        loaded = store.load_columnar_entry(config_digest(cfg))
         assert loaded is not None
-        assert metrics.counter("engine.store.bin_loads").value == before
+        assert store.load(cfg) is not None
+        assert store.load_repository(cfg) is not None
+        assert metrics.counter("engine.store.bin_loads").value == before + 3
+        _, columnar = loaded
+        assert columnar.to_repository().content_digest() == (
+            repository.content_digest()
+        )
+
+    def test_loaded_columns_are_the_databases_view(self, tmp_path):
+        from repro.data.columnar import columnar_view
+        from repro.obs import metrics
+
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        store.save(cfg, repository, reports)
+        loaded = store.load_repository(cfg)
+        before = metrics.counter("data.columnar.encodes").value
+        for _, db in loaded.items():
+            columnar_view(db)
+        assert metrics.counter("data.columnar.encodes").value == before
 
     def test_corrupt_columnar_artifacts_are_a_miss(self, tmp_path):
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
         entry = store.save(cfg, repository, reports)
-        (entry / "columnar.json").write_text("{not json", encoding="utf-8")
         (entry / "columnar.bin").write_bytes(b"\x00")
-        (entry / "repository.json").write_text("{not json", encoding="utf-8")
         assert store.load_columnar_entry(config_digest(cfg)) is None
+        assert store.load_repository(cfg) is None
+
+
+class TestAtomicPublish:
+    """A save publishes a complete entry or nothing."""
+
+    @pytest.mark.parametrize("failing_step", ["binary", "reports"])
+    def test_failed_save_leaves_no_entry(self, tmp_path, monkeypatch, failing_step):
+        import repro.engine.store as store_module
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        if failing_step == "binary":
+            monkeypatch.setattr(store_module, "write_columnar_binary", boom)
+        else:
+            monkeypatch.setattr(RoundReport, "to_dict", boom)
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        with pytest.raises(RuntimeError):
+            store.save(cfg, repository, reports)
+        assert not store.entry_dir(config_digest(cfg)).exists()
+        assert store.entries() == []
+        assert list((tmp_path / "staging").iterdir()) == []
+
+    def test_failed_save_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        store.save(cfg, repository, reports)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(RoundReport, "to_dict", boom)
+        with pytest.raises(RuntimeError):
+            store.save(cfg, repository, reports)
+        monkeypatch.undo()
+        stored = store.load(cfg)
+        assert stored is not None
+        assert stored.repository.content_digest() == repository.content_digest()
+
+    def test_save_replaces_the_whole_entry(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        entry = store.save(cfg, repository, reports)
+        (entry / "stale.txt").write_text("left by an older writer")
+        other = CentralRepository()
+        vantage = repository.vantage("T")
+        other.add(vantage, MeasurementDatabase(vantage_name="T"))
+        store.save(cfg, other, {"T": []})
+        assert sorted(p.name for p in entry.iterdir()) == [
+            "columnar.bin", "meta.json", "reports.json"
+        ]
+        stored = store.load(cfg)
+        assert stored.repository.content_digest() == other.content_digest()
+        assert stored.reports == {"T": []}
+        assert [e.repository_digest for e in store.entries()] == [
+            other.content_digest()
+        ]
+        assert list((tmp_path / "staging").iterdir()) == []
+
+    def test_concurrent_saves_leave_one_loadable_entry(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        n_writers = 2 * (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(n_writers)
+        errors = []
+
+        def writer():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(10):
+                    store.save(cfg, repository, reports)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(n_writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [e.digest for e in store.entries()] == [config_digest(cfg)]
+        stored = store.load(cfg)
+        assert stored is not None
+        assert stored.repository.content_digest() == repository.content_digest()
+        assert list((tmp_path / "staging").iterdir()) == []
+
+    def test_prune_clears_stale_staging(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        store.save(cfg, repository, reports)
+        digest = config_digest(cfg)
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        stale = tmp_path / "staging" / f"{digest}.{finished.pid}.crashed"
+        stale.mkdir()
+        (stale / "columnar.bin").write_bytes(b"partial")
+        live = tmp_path / "staging" / f"{digest}.{os.getpid()}.writing"
+        live.mkdir()
+        assert store.prune(keep_latest=1) == []
+        assert not stale.exists()
+        assert live.exists()
+        assert store.load(cfg) is not None
 
 
 class TestObserverReports:
@@ -345,3 +476,27 @@ class TestObserverReports:
         assert raw == observer_reports["speed_parity"].canonical_bytes()
         restored = ObserverReport.from_payload(json.loads(raw))
         assert restored == observer_reports["speed_parity"]
+        # each report was renamed into place: no temporary files remain
+        assert sorted(p.name for p in store.observers_dir(digest).iterdir()) == [
+            "hop_inflation.json", "speed_parity.json"
+        ]
+
+    def test_size_bytes_counts_observer_reports(self, tmp_path):
+        from repro.observers import ObserverReport
+
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        entry = store.save(cfg, repository, reports)
+        digest = config_digest(cfg)
+        report = ObserverReport(
+            name="speed_parity",
+            version=1,
+            campaign_digest=digest,
+            body={"summary": {"pad": "x" * 50_000}, "series": {}},
+        )
+        store.save_observer_reports(digest, {"speed_parity": report})
+        on_disk = sum(p.stat().st_size for p in entry.rglob("*") if p.is_file())
+        (listed,) = store.entries()
+        assert listed.size_bytes == on_disk
+        assert on_disk > 50_000

@@ -15,6 +15,7 @@ from repro.core.campaign import run_campaign, run_world_ipv6_day
 from repro.core.world import build_world
 from repro.engine.store import config_digest
 from repro.experiments import scenario
+from repro.experiments.scenario import build_contexts
 from repro.obs import metrics
 
 #: tiny but non-degenerate scenario for cross-backend runs.
@@ -74,7 +75,7 @@ class TestBackendEquivalence:
 
 
 class TestScenarioDiskCache:
-    def test_second_build_hits_the_disk_tier(self, tmp_path):
+    def test_second_build_hits_the_disk_tier(self, tmp_path, monkeypatch):
         saved_store = scenario._store()
         scenario.configure_cache(tmp_path)
         try:
@@ -86,8 +87,30 @@ class TestScenarioDiskCache:
                 == misses_before + 1
             )
             entry = tmp_path / "campaigns" / config_digest(TINY, "weekly")
-            assert (entry / "meta.json").exists()
-            assert (entry / "world.pkl").exists()  # world pickled alongside
+            assert sorted(p.name for p in entry.iterdir()) == [
+                "columnar.bin", "meta.json", "reports.json"
+            ]
+
+            # count world builds, and encodes while analysis runs
+            builds = []
+            encodes = []
+
+            def counting_build_world(config):
+                builds.append(config)
+                return build_world(config)
+
+            def watched_build_contexts(config, campaign):
+                before = metrics.counter("data.columnar.encodes").value
+                contexts = build_contexts(config, campaign)
+                encodes.append(
+                    metrics.counter("data.columnar.encodes").value - before
+                )
+                return contexts
+
+            monkeypatch.setattr(scenario, "build_world", counting_build_world)
+            monkeypatch.setattr(
+                scenario, "build_contexts", watched_build_contexts
+            )
 
             # drop the memory tier; the disk tier must carry the reload
             scenario.clear_caches()
@@ -103,7 +126,11 @@ class TestScenarioDiskCache:
                 second.repository.content_digest()
                 == first.repository.content_digest()
             )
+            # the world is rebuilt from config, exactly once
+            assert builds == [TINY]
             assert second.world is not None
+            # analysis queried the decoded columns without re-encoding
+            assert encodes == [0]
             # analysis layers rebuilt from restored data match
             assert set(second.contexts) == set(first.contexts)
         finally:
