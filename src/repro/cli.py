@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import pathlib
 import sys
 
@@ -977,7 +978,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_level:
         obs.setup_logging(level=args.log_level, fmt=args.log_format)
-    return args.func(args)
+    if args.func is _cmd_serve:
+        # A server runs indefinitely, so it keeps the cyclic collector.
+        return args.func(args)
+    # Every other command is bounded, and its object graphs (zones, shard
+    # databases) are acyclic and freed by reference counting, so collector
+    # passes would only re-traverse the live heap.  Restore the caller's
+    # state: tests call main() in-process.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Both drivers are thin shells over the execution engine: they build one
 :class:`~repro.engine.shard.VantageShard` per vantage point, hand the
 batch to an :class:`~repro.engine.executor.Executor` (serial in-process
 by default, a process pool with ``--backend process``), and merge the
-returned shard payloads into a :class:`CampaignResult`.  Per-vantage RNG
+returned shard objects into a :class:`CampaignResult`.  Per-vantage RNG
 streams and private DNS timelines make the merge order-independent, so
 every backend yields bit-identical repositories.
 """
@@ -26,9 +26,7 @@ from ..engine.executor import make_executor
 from ..engine.shard import W6D, WEEKLY, ShardResult, VantageShard
 from ..errors import ConfigError
 from ..monitor.aggregate import CentralRepository
-from ..monitor.database import MeasurementDatabase
 from ..monitor.tool import RoundReport
-from ..monitor.vantage import VantagePoint
 from ..obs import get_logger, metrics, span
 from .world import World
 
@@ -74,18 +72,15 @@ def merge_shard_results(
 ) -> CampaignResult:
     """Fold executed shards back into one campaign result.
 
-    Shard payloads are plain dicts (they may have crossed a process
-    boundary); each is rebuilt here and registered with the central
+    Each shard's own vantage, database and reports (unpickled, when they
+    crossed a process boundary) are registered with the central
     repository in shard order.
     """
     repository = CentralRepository()
     reports: dict[str, list[RoundReport]] = {}
     for result in results:
-        vantage = VantagePoint.from_dict(result.vantage)
-        repository.add(vantage, MeasurementDatabase.from_dict(result.database))
-        reports[vantage.name] = [
-            RoundReport.from_dict(r) for r in result.reports
-        ]
+        repository.add(result.vantage, result.database)
+        reports[result.vantage.name] = result.reports
     return CampaignResult(world=world, repository=repository, reports=reports)
 
 

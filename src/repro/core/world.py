@@ -94,7 +94,6 @@ class World:
         default_factory=dict, repr=False
     )
     _zone_round: int = -1
-    _publisher: "ZonePublisher | None" = field(default=None, repr=False)
 
     # -- addressing -------------------------------------------------------------
 
@@ -122,16 +121,16 @@ class World:
 
         A records for every site are published up front; each site's AAAA
         record appears at its adoption round.  Idempotent and monotone.
-        Delegates to a :class:`ZonePublisher` over the shared ``zones``
-        store; campaign shards create their own publishers instead so
-        vantage points can execute independently.
+        Delegates to a transient :class:`ZonePublisher` over the shared
+        ``zones`` store (keeping one would make the world and its publisher
+        a reference cycle); campaign shards create their own publishers
+        instead so vantage points can execute independently.
         """
-        if self._publisher is None:
-            self._publisher = ZonePublisher(
-                world=self, store=self.zones, published_round=self._zone_round
-            )
-        self._publisher.advance_to(round_idx)
-        self._zone_round = self._publisher.published_round
+        publisher = ZonePublisher(
+            world=self, store=self.zones, published_round=self._zone_round
+        )
+        publisher.advance_to(round_idx)
+        self._zone_round = publisher.published_round
 
     def zone_snapshot(self, round_idx: int) -> ZoneStore:
         """A standalone ZoneStore reflecting DNS as of ``round_idx``.
@@ -474,9 +473,6 @@ class World:
         return list(
             range(self.catalog.ranking.universe_size, len(self.catalog.sites))
         )
-
-    def monitor_rng(self, vantage: VantagePoint) -> random.Random:
-        return self.rngs.stream(f"monitor:{vantage.name}")
 
 
 @dataclass

@@ -483,10 +483,6 @@ class ColumnarDatabase:
             )
         return self.tables[name]
 
-    @property
-    def table_names(self) -> list[str]:
-        return list(self.tables)
-
     def row_counts(self) -> dict[str, int]:
         return {name: table.n_rows for name, table in self.tables.items()}
 

@@ -11,6 +11,10 @@ and memoises the result.  Invalidation is per-name and push-based: a zone
 mutation evicts only that name's entry, so a round that publishes AAAA
 records for a handful of adopting sites re-walks those names alone — the
 rest of the namespace stays warm across rounds.
+
+Ownership is acyclic: zones and the view hold the store's ``zones`` and
+entry dicts, never the store, so a finished shard's store (tens of
+thousands of records) is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ class Zone:
     _types_by_name: dict[str, set[RecordType]] = field(default_factory=dict)
     #: bumped on every successful mutation.
     version: int = 0
-    #: owning store, set by :meth:`ZoneStore.zone_for`; mutations push a
-    #: per-name eviction to the store's view instead of the view polling
-    #: a store-wide version on every lookup.
-    _store: "ZoneStore | None" = field(default=None, repr=False, compare=False)
+    #: the owning store's per-name entry dict, set by
+    #: :meth:`ZoneStore.zone_for`; mutations evict the name from it (push
+    #: invalidation) instead of the view polling a store-wide version.
+    _entries: "dict[str, NameEntry] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def add(self, record: ResourceRecord) -> None:
         key = (record.name, record.rtype)
@@ -63,8 +69,8 @@ class Zone:
         self._records.setdefault(key, []).append(record)
         self._types_by_name.setdefault(record.name, set()).add(record.rtype)
         self.version += 1
-        if self._store is not None:
-            self._store._invalidate(record.name)
+        if self._entries is not None:
+            self._entries.pop(record.name, None)
 
     def remove(self, name: str, rtype: RecordType) -> int:
         """Delete all records of (name, type); returns how many were removed."""
@@ -76,8 +82,8 @@ class Zone:
                 if not types:
                     del self._types_by_name[name]
             self.version += 1
-            if self._store is not None:
-                self._store._invalidate(name)
+            if self._entries is not None:
+                self._entries.pop(name, None)
         return len(removed)
 
     def lookup(self, name: str, rtype: RecordType) -> RRSet:
@@ -124,19 +130,21 @@ class NameEntry:
 
 
 class ZoneView:
-    """A memoised per-name index over a :class:`ZoneStore`.
+    """A memoised per-name index over a :class:`ZoneStore`'s zones.
 
     One :meth:`entry` computation walks every zone for the name once and
     captures *all* its record sets — so a resolver can answer the A, AAAA,
     and CNAME questions of one site from a single authoritative walk.
-    Entries persist until the specific name mutates: zones push per-name
-    evictions through :meth:`ZoneStore._invalidate`, so publishing AAAA
-    records for adopting sites leaves every other cached name warm.
+    Entries persist until the specific name mutates: zones pop the name
+    from the shared entry dict, so publishing AAAA records for adopting
+    sites leaves every other cached name warm.
     """
 
-    def __init__(self, store: "ZoneStore") -> None:
-        self._store = store
-        self._entries: dict[str, NameEntry] = {}
+    def __init__(
+        self, zones: dict[str, Zone], entries: dict[str, NameEntry]
+    ) -> None:
+        self._zones = zones
+        self._entries = entries
 
     def cached(self, name: str) -> NameEntry | None:
         """The memoised entry for ``name``, or None — never walks.
@@ -157,7 +165,7 @@ class ZoneView:
         _ZONE_WALKS.inc()
         exists = False
         rrsets: dict[RecordType, RRSet] = {}
-        for zone in self._store.zones.values():
+        for zone in self._zones.values():
             if not zone.knows(name):
                 continue
             exists = True
@@ -175,13 +183,17 @@ class ZoneStore:
     """The union of all authoritative zones, queried by exact name."""
 
     zones: dict[str, Zone] = field(default_factory=dict)
+    #: the view's memoised entries; zones evict from it on mutation.
+    _entries: dict[str, NameEntry] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _view: ZoneView | None = field(default=None, repr=False, compare=False)
 
     def zone_for(self, origin: str) -> Zone:
         """Get or create the zone with the given origin."""
         zone = self.zones.get(origin)
         if zone is None:
-            zone = Zone(origin=origin, _store=self)
+            zone = Zone(origin=origin, _entries=self._entries)
             self.zones[origin] = zone
         return zone
 
@@ -189,12 +201,6 @@ class ZoneStore:
     def version(self) -> int:
         """Monotone store version (moves on any zone mutation or creation)."""
         return len(self.zones) + sum(z.version for z in self.zones.values())
-
-    def _invalidate(self, name: str) -> None:
-        """Evict one name from the live view (called by mutating zones)."""
-        view = self._view
-        if view is not None:
-            view._entries.pop(name, None)
 
     def view(self) -> ZoneView:
         """The store's per-name view (created once, evicted name-by-name).
@@ -205,8 +211,8 @@ class ZoneStore:
         view = self._view
         if view is None:
             for zone in self.zones.values():
-                zone._store = self
-            view = self._view = ZoneView(self)
+                zone._entries = self._entries
+            view = self._view = ZoneView(self.zones, self._entries)
         return view
 
     def authoritative_lookup(self, name: str, rtype: RecordType) -> RRSet:

@@ -9,7 +9,8 @@ Two backends behind one interface:
   :class:`concurrent.futures.ProcessPoolExecutor`.  Workers receive only
   the pickled shard; each rebuilds the world from the shard's config once
   and caches it for subsequent shards (see
-  :data:`repro.engine.shard._WORLD_CACHE`).
+  :data:`repro.engine.shard._WORLD_CACHE`).  The pool pickles each
+  shard's result objects back to this process.
 
 Both return :class:`~repro.engine.shard.ShardResult` lists in shard
 order, and — because per-vantage RNG streams are isolated — both produce

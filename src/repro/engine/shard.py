@@ -6,10 +6,13 @@ central repository.  A :class:`VantageShard` captures one vantage point's
 share of a campaign as plain data (scenario config, vantage name, round
 count, RNG stream name), so it can be executed in-process or pickled to a
 worker process; :func:`execute_shard` turns a shard into a
-:class:`ShardResult` whose payloads are the compact dict forms of
+:class:`ShardResult` carrying the live
+:class:`~repro.monitor.vantage.VantagePoint`,
 :class:`~repro.monitor.database.MeasurementDatabase` and
-:class:`~repro.monitor.tool.RoundReport` — JSON-ready, so the same bytes
-cross process boundaries and land in the on-disk campaign store.
+:class:`~repro.monitor.tool.RoundReport` objects it produced.  The serial
+backend hands them straight to the merge; the process pool pickles them.
+Rows were validated when the monitor inserted them, so the merge
+registers them as they are.
 
 Determinism: each vantage draws from its own named RNG stream, round
 noise is derived per (site, family, round) from the master seed, and the
@@ -31,6 +34,7 @@ from ..config import ScenarioConfig
 from ..dataplane.clock import SimulationClock
 from ..dns.resolver import Resolver
 from ..errors import EngineError
+from ..monitor.database import MeasurementDatabase
 from ..monitor.tool import MonitoringTool, RoundReport, VantageEnvironment
 from ..monitor.vantage import VantagePoint
 from ..net.addresses import AddressFamily
@@ -66,16 +70,16 @@ class VantageShard:
 
 @dataclass
 class ShardResult:
-    """What one executed shard sends back: JSON-ready payloads only."""
+    """What one executed shard sends back: the objects it produced."""
 
-    vantage: dict
-    database: dict
-    reports: list[dict]
+    vantage: VantagePoint
+    database: MeasurementDatabase
+    reports: list[RoundReport]
     wall_seconds: float
 
     @property
     def vantage_name(self) -> str:
-        return self.vantage["name"]
+        return self.vantage.name
 
 
 #: per-process world cache: worker processes rebuild the world from the
@@ -154,10 +158,7 @@ def execute_shard(shard: VantageShard, world=None) -> ShardResult:
         },
     )
     return ShardResult(
-        vantage=vantage.to_dict(),
-        database=database.to_dict(),
-        reports=[r.to_dict() for r in reports],
-        wall_seconds=wall,
+        vantage=vantage, database=database, reports=reports, wall_seconds=wall
     )
 
 

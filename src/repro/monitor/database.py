@@ -15,7 +15,7 @@ from ..errors import MonitorError
 from ..net.addresses import AddressFamily
 
 #: serialization format version of :meth:`MeasurementDatabase.to_dict`
-#: (and the engine's shard/store payloads); bumped on layout changes.
+#: (the form content digests are taken over); bumped on layout changes.
 SERIAL_FORMAT = 1
 
 
@@ -290,19 +290,6 @@ class MeasurementDatabase:
             self._append_in_order(site_rows, obs)
         self._columnar_cache = None
 
-    def add_faults(self, rows: "list[FaultObservation]") -> None:
-        faults = self.faults
-        for obs in rows:
-            if obs.kind not in FAULT_KINDS:
-                raise MonitorError(f"unknown fault kind {obs.kind!r}")
-            if faults and faults[-1].round_idx > obs.round_idx:
-                raise MonitorError(
-                    f"out-of-order fault insert: round {obs.round_idx} "
-                    f"after {faults[-1].round_idx}"
-                )
-            faults.append(obs)
-        self._columnar_cache = None
-
     def add_transitions(self, rows: "list[TransitionObservation]") -> None:
         transitions = self.transitions
         for obs in rows:
@@ -377,10 +364,6 @@ class MeasurementDatabase:
 
     # -- population queries ------------------------------------------------------
 
-    def sites_seen(self) -> list[int]:
-        """Every site with at least one DNS observation."""
-        return sorted(self.dns)
-
     def dual_stack_sites(self) -> list[int]:
         """Sites with converged download data in both families.
 
@@ -454,12 +437,12 @@ class MeasurementDatabase:
     def to_dict(self) -> dict:
         """Compact JSON-ready form of every table.
 
-        The wire format of the execution engine: shard results cross
-        process boundaries and land in the on-disk campaign store in
-        exactly this shape.  Row order (and therefore dict insertion
-        order) is preserved, so ``from_dict(db.to_dict())`` rebuilds a
-        database whose iteration order — and canonical JSON digest —
-        matches the original bit for bit.
+        The repository's content digest is taken over this shape, and
+        the columnar encoding transposes its rows.  Row order (and
+        therefore dict insertion order) is preserved, so
+        ``from_dict(db.to_dict())`` rebuilds a database whose iteration
+        order — and canonical JSON digest — matches the original bit for
+        bit.
         """
         data = {
             "format": SERIAL_FORMAT,

@@ -82,7 +82,7 @@ class RoundReport:
     n_failures: int = 0
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the engine's shard-result wire format)."""
+        """JSON-ready form (the campaign store's ``reports.json``)."""
         data = {
             "round_idx": self.round_idx,
             "n_monitored": self.n_monitored,

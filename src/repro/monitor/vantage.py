@@ -51,7 +51,7 @@ class VantagePoint:
         return round_idx >= self.start_round
 
     def to_dict(self) -> dict:
-        """JSON-ready form (engine shard results and the campaign store)."""
+        """JSON-ready form (the campaign store and content digests)."""
         return {
             "name": self.name,
             "location": self.location,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.world import VANTAGE_TEMPLATES, build_world
@@ -90,6 +93,20 @@ class TestZoneLifecycle:
         assert zone.lookup(site.name, RecordType.AAAA)
         world.advance_to_round(event + 1)
         assert not zone.lookup(site.name, RecordType.AAAA)
+
+    def test_advanced_world_is_freed_by_refcount(self, small_cfg):
+        world = build_world(small_cfg)
+        world.advance_to_round(1)
+        world.advance_to_round(2)
+        ref = weakref.ref(world)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del world
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_zone_snapshot_reflects_past_round(self, small_cfg, small_campaign):
         world = small_campaign.world  # already advanced to the end

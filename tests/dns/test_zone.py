@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dns.records import RecordType, ResourceRecord
@@ -172,3 +175,34 @@ class TestZoneView:
         assert view.entry("www.example.").exists
         zone.remove("www.example.", RecordType.A)
         assert not view.entry("www.example.").exists
+
+    def test_zone_placed_directly_is_adopted_by_the_view(self):
+        store = ZoneStore()
+        zone = Zone("example.")
+        store.zones["example."] = zone
+        view = store.view()
+        assert not view.entry("www.example.").exists
+        zone.add(a_record("www.example."))
+        assert view.entry("www.example.").exists
+
+
+class TestZoneOwnership:
+    """The zone graph is acyclic: a finished store dies by refcount."""
+
+    def test_store_with_view_and_records_freed_without_collector(self):
+        store = ZoneStore()
+        zone = store.zone_for("example.")
+        zone.add(a_record("www.example."))
+        zone.add(ResourceRecord("www.example.", RecordType.AAAA, IPv6Address(1)))
+        store.zone_for("cdn.").add(a_record("edge.cdn.", 9))
+        assert store.view().entry("www.example.").exists
+        assert store.authoritative_lookup("edge.cdn.", RecordType.A)
+        ref = weakref.ref(store)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del store, zone
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

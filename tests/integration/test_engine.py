@@ -11,8 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ExecutionConfig, small_config
-from repro.core.campaign import run_campaign, run_world_ipv6_day
+from repro.core.campaign import (
+    build_campaign_shards,
+    merge_shard_results,
+    run_campaign,
+    run_world_ipv6_day,
+)
 from repro.core.world import build_world
+from repro.engine import SerialExecutor
 from repro.engine.store import config_digest
 from repro.experiments import scenario
 from repro.experiments.scenario import build_contexts
@@ -72,6 +78,21 @@ class TestBackendEquivalence:
     def test_engine_counters_recorded(self, tiny_serial):
         assert metrics.counter("engine.shards_dispatched").value > 0
         assert metrics.histogram("engine.shard_seconds").count > 0
+
+
+class TestLiveHandBack:
+    """Shards hand back live objects; the merge registers them as is."""
+
+    def test_merge_registers_the_shards_own_objects(self):
+        world = build_world(TINY)
+        shards = build_campaign_shards(world, 2, 0)
+        results = SerialExecutor().run(shards, world=world)
+        merged = merge_shard_results(world, results)
+        for result in results:
+            name = result.vantage_name
+            assert merged.repository.database(name) is result.database
+            assert merged.repository.vantage(name) is result.vantage
+            assert merged.reports[name] is result.reports
 
 
 class TestScenarioDiskCache:

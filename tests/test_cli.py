@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -159,3 +160,51 @@ class TestTransitionFlag:
         )
         trees = list((tmp_path / "d").rglob("transitions.csv"))
         assert trees, "transition-enabled export must emit transitions.csv"
+
+
+class TestCollectorPolicy:
+    """Bounded commands run with the collector paused; serve keeps it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "command, argv, paused",
+        [
+            ("_cmd_show_config", ["show-config"], True),
+            ("_cmd_serve", ["serve", "--port", "0"], False),
+        ],
+    )
+    def test_collector_state_during_and_after(
+        self, monkeypatch, enabled, command, argv, paused
+    ):
+        from repro import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, command, lambda args: seen.append(gc.isenabled()) or 0
+        )
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == 0
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False if paused else enabled]
+        assert after is enabled
+
+    def test_restored_when_the_command_raises(self, monkeypatch):
+        from repro import cli
+
+        def boom(args):
+            raise RuntimeError("command failed")
+
+        monkeypatch.setattr(cli, "_cmd_show_config", boom)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            with pytest.raises(RuntimeError):
+                main(["show-config"])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert after is True
